@@ -13,6 +13,7 @@ from .errors import (
     ReservoirNotReady,
     RpsError,
     StreamOrderError,
+    WeightOverflowError,
 )
 from .measures import BaseMeasure, MeasureSpec, damping, format_measure, parse_measure
 from .model import (
@@ -52,6 +53,7 @@ __all__ = [
     "RpsError",
     "Sequence",
     "StreamOrderError",
+    "WeightOverflowError",
     "WeightedItemset",
     "batch_weight",
     "damping",

@@ -170,6 +170,9 @@ def realisations_from_uniform(k: int, p: float, x: float) -> int:
         raise ValueError(f"uniform {x} is not in [0, 1)")
     if p == 0.0:
         return 0
+    # rejection needs one survival evaluation, not a search
+    if binomial_survival(1, k, p) < x:
+        return 0
     return _largest_above(k, k, p, x)
 
 

@@ -15,7 +15,9 @@ from typing import Iterator, TextIO
 from .engine import REALISATION_MODES, ReservoirSampler
 from .errors import ConfigurationError, ParseError, RpsError
 from .formats import (
+    FINAL_HEADER,
     FORMATS,
+    final_snapshot_lines,
     iter_batches,
     pattern_text,
     read_instances,
@@ -155,7 +157,7 @@ def _run_sample(args: argparse.Namespace) -> int:
                     catalog,
                     header=f"after batch {sampler.batches_seen} t {batch.timestamp:g}",
                 )
-        header = f"final after batch {sampler.batches_seen}" if args.snapshot_every else None
+        header = f"{FINAL_HEADER} {sampler.batches_seen}" if args.snapshot_every else None
         write_snapshot(fout, sampler.snapshot(), catalog, header=header)
     if args.json:
         summary = {
@@ -182,7 +184,7 @@ def _run_sample(args: argparse.Namespace) -> int:
 def _run_featurize(args: argparse.Namespace) -> int:
     catalog = Catalog()
     with _open_in(args.snapshot) as fh:
-        entries = read_snapshot(fh, catalog)
+        entries = read_snapshot(final_snapshot_lines(fh), catalog)
     patterns = [x for _, x in entries]
     if not patterns:
         raise ConfigurationError(f"snapshot {args.snapshot!r} holds no patterns")

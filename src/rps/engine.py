@@ -39,7 +39,12 @@ from dataclasses import dataclass
 from random import Random
 
 from . import betainc
-from .errors import ConfigurationError, ReservoirNotReady, StreamOrderError
+from .errors import (
+    ConfigurationError,
+    ReservoirNotReady,
+    StreamOrderError,
+    WeightOverflowError,
+)
 from .measures import MeasureSpec
 from .model import Batch, Instance, Pattern, matches
 from .sampling import sample_distinct_indices, sample_from_batch
@@ -108,7 +113,11 @@ class ReservoirSampler:
         return [1 if matches(pat, z) else 0 for _, pat in self._entries]
 
     def process_batch(self, batch: Batch) -> BatchReport:
+        """Offer one batch to the reservoir.  A batch that raises changes
+        nothing: it is validated and weighed before any state moves."""
         t = batch.timestamp
+        if not math.isfinite(t):
+            raise StreamOrderError(f"batch timestamp {t} is not finite")
         if self._t_seen is not None and t <= self._t_seen:
             raise StreamOrderError(
                 f"batch timestamp {t} is not after {self._t_seen}"
@@ -118,22 +127,28 @@ class ReservoirSampler:
                 f"measure {self.spec.base.value} is not defined for "
                 f"{type(batch.instances[0]).__name__} streams"
             )
+        w = batch_weight(batch, self.spec)
+        if w > 0.0:
+            if self._t_mass is None:
+                scaled_mass = w
+            else:
+                decay = math.exp(-self.damping * (t - self._t_mass))
+                scaled_mass = self._scaled_mass * decay + w
+            if scaled_mass == math.inf:
+                raise WeightOverflowError(
+                    f"damped stream mass at t={t:g} exceeds the largest float"
+                )
+
         self._t_seen = t
         self.batches_seen += 1
-
-        w = batch_weight(batch, self.spec)
         if w <= 0.0:
             # nothing to sample and nothing to add to the normalizer; the
             # batch still counts as seen
             return BatchReport(t, w, 0.0, False, 0, ())
 
-        if self._t_mass is None:
-            self._scaled_mass = w
-        else:
-            decay = math.exp(-self.damping * (t - self._t_mass))
-            self._scaled_mass = self._scaled_mass * decay + w
+        self._scaled_mass = scaled_mass
         self._t_mass = t
-        p = w / self._scaled_mass  # exactly 1.0 on the first mass
+        p = w / scaled_mass  # exactly 1.0 on the first mass
 
         k = self.capacity
         x = self.rng.random()

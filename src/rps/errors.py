@@ -13,6 +13,10 @@ class StreamOrderError(RpsError, ValueError):
     """Batch timestamps arrived out of order."""
 
 
+class WeightOverflowError(RpsError, OverflowError):
+    """A pattern mass does not fit a float (the largest is about 1.8e308)."""
+
+
 class ReservoirNotReady(RpsError, RuntimeError):
     """Feature vectors need a full reservoir."""
 

@@ -37,6 +37,9 @@ from .model import (
 
 FORMATS = ("tx", "wtx", "seq-spmf")
 
+# header comment of the last snapshot when a file holds several
+FINAL_HEADER = "final after batch"
+
 _WEIGHT_SUM_TOL = 1e-6
 _GROUP_RE = re.compile(r"\{([^{}]*)\}")
 
@@ -328,6 +331,17 @@ def write_snapshot(
         out.write(f"# {header}\n")
     for t, x in entries:
         out.write(f"{x.norm}\t{pattern_text(x, catalog)}\t{_num(t)}\n")
+
+
+def final_snapshot_lines(lines: Iterable[str]) -> list[str]:
+    """The lines of the last snapshot in a file written with periodic
+    snapshots: those after its '# final after batch N' header, or every
+    line when there is no such header."""
+    lines = list(lines)
+    for i in range(len(lines) - 1, -1, -1):
+        if lines[i].startswith(f"# {FINAL_HEADER} "):
+            return lines[i + 1 :]
+    return lines
 
 
 def read_snapshot(

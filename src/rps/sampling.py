@@ -27,7 +27,13 @@ from .model import (
     Sequence,
     WeightedItemset,
 )
-from .weighting import AdmissibleBlocks, NormWeightTable, sequence_counts, weight_table
+from .weighting import (
+    AdmissibleBlocks,
+    NormWeightTable,
+    instance_weight,
+    sequence_counts,
+    weight_table,
+)
 
 # admissible-subset draws: enumerate when the block's subset space is at most
 # this big, otherwise rejection-sample
@@ -171,14 +177,18 @@ def sample_from_batch(
         raise ValueError(f"draw count must be >= 0, got {count}")
     if count == 0:
         return []
-    tables = [weight_table(z, spec) for z in batch.instances]
-    cum = list(accumulate(t.total for t in tables))
+    cum = list(accumulate(instance_weight(z, spec) for z in batch.instances))
     total = cum[-1] if cum else 0.0
     if total <= 0:
         raise ValueError("batch has no pattern mass under this measure")
+    # tables only for the instances a draw picks
+    tables: dict[int, NormWeightTable] = {}
     out: list[Pattern] = []
     for _ in range(count):
         zi = _pick_cumulative(cum, total, rng)
-        ell = draw_norm(tables[zi], rng)
+        table = tables.get(zi)
+        if table is None:
+            table = tables[zi] = weight_table(batch.instances[zi], spec)
+        ell = draw_norm(table, rng)
         out.append(draw_pattern_of_norm(batch.instances[zi], ell, spec, rng))
     return out

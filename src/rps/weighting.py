@@ -20,19 +20,26 @@ generating walk unique per pattern.  A block placed at position j after
 position i must not be contained in any intermediate itemset; the number of
 admissible q-subsets of I_j is counted by inclusion-exclusion over the
 deduplicated maximal intersections I_j & I_m for i < m < j.
+
+Each table is cached on what it depends on.  A plain itemset's table is a
+function of (n, spec) alone, so one table serves every itemset of that size.
+A weighted itemset's table multiplies its own W into cached (n, spec) terms.
+A sequence's table and counts depend on its whole structure and are cached
+per instance.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from typing import Iterable
 
-from .errors import ConfigurationError
-from .measures import BaseMeasure, MeasureSpec
+from .errors import ConfigurationError, WeightOverflowError
+from .measures import BaseMeasure, MeasureSpec, format_measure
 from .model import (
     Batch,
     Instance,
@@ -86,59 +93,127 @@ def _norm_range(spec: MeasureSpec, instance_norm: int) -> range:
     return range(spec.min_norm, spec.norm_cap(instance_norm) + 1)
 
 
-def _plain_table(z: PlainItemset, spec: MeasureSpec) -> NormWeightTable:
-    n = z.norm
-    return NormWeightTable.from_pairs(
+def _overflow(variant: type, n: int, spec: MeasureSpec) -> WeightOverflowError:
+    return WeightOverflowError(
+        f"pattern mass of a {n}-item {variant.__name__} under "
+        f"{format_measure(spec)} exceeds the largest float "
+        f"({sys.float_info.max:.3g}): an itemset's mass grows like 2^n, which "
+        f"limits plain itemsets to about 1000 items"
+    )
+
+
+def _table(
+    variant: type, n: int, spec: MeasureSpec, masses: Iterable[tuple[int, float]]
+) -> NormWeightTable:
+    try:
+        table = NormWeightTable.from_pairs(masses)
+    except OverflowError:  # a pattern count past the float range
+        raise _overflow(variant, n, spec) from None
+    if table.total == math.inf:
+        raise _overflow(variant, n, spec)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _itemset_shape(
+    variant: type, n: int, spec: MeasureSpec
+) -> NormWeightTable | tuple[tuple[int, int, float], ...]:
+    """The part of an n-item itemset's table that depends only on (variant,
+    n, spec): the whole table C(n, ell) * f(ell) of a plain itemset, or the
+    (ell, C(n-1, ell-1), f(ell)) terms that a weighted itemset's total W
+    multiplies.  Unbounded: keys are bounded by the distinct itemset sizes
+    of a stream times the few specs in use."""
+    if variant is WeightedItemset:
+        if spec.base not in (BaseMeasure.UTIL, BaseMeasure.AVGUTIL):
+            raise ConfigurationError(
+                f"{spec.base.value} is not defined for weighted itemsets"
+            )
+        return tuple(
+            (ell, math.comb(n - 1, ell - 1), spec.norm_utility(ell))
+            for ell in _norm_range(spec, n)
+        )
+    masses = (
         (ell, math.comb(n, ell) * spec.norm_utility(ell)) for ell in _norm_range(spec, n)
     )
+    return _table(variant, n, spec, masses)
 
 
-def _weighted_table(z: WeightedItemset, spec: MeasureSpec) -> NormWeightTable:
-    if spec.base not in (BaseMeasure.UTIL, BaseMeasure.AVGUTIL):
-        raise ConfigurationError(
-            f"{spec.base.value} is not defined for weighted itemsets"
-        )
-    n = z.norm
-    total = math.fsum(z.weights)
-    return NormWeightTable.from_pairs(
-        (ell, total * math.comb(n - 1, ell - 1) * spec.norm_utility(ell))
-        for ell in _norm_range(spec, n)
-    )
+def _weighted_masses(z: WeightedItemset, spec: MeasureSpec) -> list[tuple[int, float]]:
+    try:
+        total = math.fsum(z.weights)
+        # (W * c) * f, in this order, is the float product of the closed form
+        return [
+            (ell, total * c * f)
+            for ell, c, f in _itemset_shape(WeightedItemset, z.norm, spec)
+        ]
+    except OverflowError:  # W or a term C(n-1, ell-1) past the float range
+        raise _overflow(WeightedItemset, z.norm, spec) from None
 
 
+@lru_cache(maxsize=_CACHE_SIZE)
 def _sequence_table(z: Sequence, spec: MeasureSpec) -> NormWeightTable:
+    # a sequence's table depends on its whole structure: cached per instance
     if spec.base in (BaseMeasure.UTIL, BaseMeasure.AVGUTIL):
         raise ConfigurationError(f"{spec.base.value} is not defined for sequences")
     cap = spec.norm_cap(z.norm)
     if cap < spec.min_norm:
         return NormWeightTable.from_pairs(())
     counts = sequence_counts(z, cap)
-    return NormWeightTable.from_pairs(
+    masses = (
         (ell, counts.count(ell) * spec.norm_utility(ell))
         for ell in _norm_range(spec, z.norm)
     )
+    return _table(Sequence, z.norm, spec, masses)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def weight_table(z: Instance, spec: MeasureSpec) -> NormWeightTable:
-    """Norm weight table for one instance.  Cached: instances and specs are
-    frozen, and streams repeat both."""
+    """Norm weight table for one instance.
+
+    A plain itemset's table depends only on its size, so all plain itemsets
+    of one size share one cached table.  A weighted itemset's table is built
+    from the cached (size, spec) terms times its own total weight.  A
+    sequence's table depends on its whole structure and is cached per
+    instance.
+    """
+    if isinstance(z, PlainItemset):
+        return _itemset_shape(PlainItemset, z.norm, spec)
     if isinstance(z, WeightedItemset):
-        return _weighted_table(z, spec)
+        return _table(WeightedItemset, z.norm, spec, _weighted_masses(z, spec))
     if isinstance(z, Sequence):
         return _sequence_table(z, spec)
-    if isinstance(z, PlainItemset):
-        return _plain_table(z, spec)
     raise TypeError(f"not an instance: {type(z).__name__}")
 
 
+# the itemset memo's hits and misses, read as the table cache's statistics
+weight_table.cache_info = _itemset_shape.cache_info
+
+
 def instance_weight(z: Instance, spec: MeasureSpec) -> float:
-    """Total measure mass of all distinct patterns contained in z."""
+    """Total measure mass of all distinct patterns contained in z.
+
+    Equal, bit for bit, to weight_table(z, spec).total; a weighted itemset
+    gets it by the same left-to-right sum without building its table.
+    """
+    if isinstance(z, WeightedItemset):
+        total = 0.0
+        for _, w in _weighted_masses(z, spec):
+            if w > 0:
+                total += w
+        if total == math.inf:
+            raise _overflow(WeightedItemset, z.norm, spec)
+        return total
     return weight_table(z, spec).total
 
 
 def batch_weight(batch: Batch, spec: MeasureSpec) -> float:
-    return math.fsum(instance_weight(z, spec) for z in batch.instances)
+    weights = [instance_weight(z, spec) for z in batch.instances]
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        raise WeightOverflowError(
+            f"pattern mass of a batch of {len(weights)} instances exceeds "
+            f"the largest float ({sys.float_info.max:.3g})"
+        ) from None
 
 
 def _maximal(sets_: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:

@@ -5,7 +5,10 @@ import random
 
 import pytest
 
+from rps import betainc
 from rps.betainc import (
+    _DIRECT_MAX_TRIALS,
+    _largest_above,
     binomial_survival,
     binomial_survival_direct,
     draw_realisations_conditional,
@@ -122,6 +125,31 @@ def test_realisations_from_uniform_is_exact_binomial():
     assert realisations_from_uniform(5, 1.0, 0.999) == 5
     with pytest.raises(ValueError):
         realisations_from_uniform(5, 0.5, 1.0)
+
+
+def test_reject_first_matches_the_search(monkeypatch):
+    # rejecting on S(1) < x up front gives what the binary search over
+    # [0 .. k] gives, on both sides of the direct/continued-fraction switch
+    # and with x at S(1) and one float either side of it
+    for k in (1, 2, 10, _DIRECT_MAX_TRIALS - 1, _DIRECT_MAX_TRIALS,
+              _DIRECT_MAX_TRIALS + 1, 100, 1000):
+        for p in (1e-4, 0.003, 0.05, 0.3, 0.73, 0.999, 1.0):
+            s1 = binomial_survival(1, k, p)
+            xs = [0.0, 1e-9, 0.001, 0.1, 0.5, 0.9, 0.999]
+            xs += [s1, math.nextafter(s1, 0.0), math.nextafter(s1, 1.0)]
+            for x in xs:
+                if x < 1.0:
+                    assert realisations_from_uniform(k, p, x) == _largest_above(
+                        k, k, p, x
+                    ), (k, p, x)
+
+    calls = []
+    original = betainc.binomial_survival
+    monkeypatch.setattr(
+        betainc, "binomial_survival", lambda *a: calls.append(a) or original(*a)
+    )
+    assert realisations_from_uniform(1000, 1e-4, 0.5) == 0
+    assert calls == [(1, 1000, 1e-4)]
 
 
 def test_realisations_from_uniform_mean():

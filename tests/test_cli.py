@@ -233,3 +233,41 @@ def test_empty_input_gives_empty_snapshot(tmp_path):
     out = tmp_path / "snap.tsv"
     assert main(_sample_args(empty, out)) == 0
     assert read_snapshot(out.open(), Catalog()) == []
+
+
+def test_featurize_reads_only_the_final_snapshot(tmp_path):
+    stream = tmp_path / "six.tx"
+    stream.write_text("a b c\na c\nb c\na b\nc d\na d\n", encoding="utf-8")
+    snap = tmp_path / "snaps.tsv"
+    assert main([
+        "sample", "--input", str(stream), "--format", "tx", "--batch-size", "1",
+        "--reservoir-size", "3", "--seed", "5", "--snapshot-every", "2",
+        "--output", str(snap),
+    ]) == 0
+    text = snap.read_text()
+    assert text.count("# after batch") == 3
+    final = text.split("# final after batch 6\n")[1]
+    out = tmp_path / "features.csv"
+    assert main([
+        "featurize", "--snapshot", str(snap), "--input", str(stream),
+        "--format", "tx", "--output", str(out),
+    ]) == 0
+    rows = list(csv.reader(out.open()))
+    assert rows[0] == ["f1", "f2", "f3", "label"]
+    cat = Catalog()
+    patterns = [x for _, x in read_snapshot(io.StringIO(final), cat)]
+    for row, line in zip(rows[1:], stream.read_text().splitlines()):
+        z, _ = parse_instance(line, "tx", cat)
+        assert row[:-1] == [str(1 if matches(x, z) else 0) for x in patterns]
+
+
+def test_oversized_transaction_exits_1_with_one_line(tmp_path, capsys):
+    big = tmp_path / "big.tx"
+    big.write_text(" ".join(f"i{n}" for n in range(1100)) + "\n", encoding="utf-8")
+    code = main([
+        "sample", "--input", str(big), "--format", "tx", "--output", "-",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("rps: ") and "1100-item PlainItemset" in err

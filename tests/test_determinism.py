@@ -1,0 +1,89 @@
+"""Byte-identity pins: fixed seeds must keep giving the same reservoir.
+
+Each digest is the SHA-256 of repr(sampler.snapshot()) after a seeded
+synthetic stream.  The digests were taken before itemset weight tables were
+keyed by (variant, size, measure); a change to table construction, to the
+batch draw or to the order in which random numbers are consumed shows up
+here as a mismatch.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+import pytest
+
+from rps.engine import ReservoirSampler
+from rps.measures import parse_measure
+from rps.model import Batch, plain_itemset, sequence, weighted_itemset
+
+
+def _stream(fmt: str, seed: int) -> list[Batch]:
+    rng = random.Random(seed)
+    batches = []
+    for t in range(1, 41):
+        if fmt == "tx":
+            instances = [
+                plain_itemset(rng.sample(range(200), rng.randint(3, 25)))
+                for _ in range(rng.randint(1, 20))
+            ]
+        elif fmt == "wtx":
+            instances = [
+                weighted_itemset(
+                    {i: round(rng.uniform(0.1, 9.9), 3)
+                     for i in rng.sample(range(200), rng.randint(1, 25))}
+                )
+                for _ in range(rng.randint(1, 20))
+            ]
+        else:
+            instances = [
+                sequence(
+                    rng.sample(range(12), rng.randint(1, 3))
+                    for _ in range(rng.randint(1, 5))
+                )
+                for _ in range(rng.randint(1, 6))
+            ]
+        batches.append(Batch(float(t), tuple(instances)))
+    return batches
+
+
+def snapshot_digest(fmt: str, measure: str, k: int, damping: float) -> str:
+    sampler = ReservoirSampler(parse_measure(measure), k, damping, seed=11)
+    for batch in _stream(fmt, seed=5):
+        sampler.process_batch(batch)
+    return hashlib.sha256(repr(sampler.snapshot()).encode()).hexdigest()
+
+
+# (format, measure, capacity, damping) -> digest
+DIGESTS = {
+    ("tx", "freq", 1, 0.0): "84ba081fd931730090fba48130f57c4571d5f1e7cf36bc79b4cd1a743eca8b2f",
+    ("tx", "freq", 1, 0.05): "84ba081fd931730090fba48130f57c4571d5f1e7cf36bc79b4cd1a743eca8b2f",
+    ("tx", "freq", 10, 0.0): "833a5bab58d658a9663fc3aeb9c804c20037ab2adcbca2cd026156a32898129d",
+    ("tx", "freq", 10, 0.05): "a6a699ce9dc216dd3ca65096468839bdace22c61d895ec0b3016c273d4a1b9f8",
+    ("tx", "area", 1, 0.0): "382fcbca193043160a72e7e404245138c7e861f9127c7a2b7f3546e52661e230",
+    ("tx", "area", 1, 0.05): "71a09c255ec96894c1bc23595ceaa78499e99d1ad23b15b4f055da8e51d70f17",
+    ("tx", "area", 10, 0.0): "0f74ff95db229e19f4dbead8f0bed9c2bfa76c743251a5ebbbf5bedc9046a43b",
+    ("tx", "area", 10, 0.05): "fd9b844b9879bff2f2d9545cb4fb02fb419e39755ba61a43f873923dcad75973",
+    ("tx", "decay:0.5", 1, 0.0): "0d953ede53eb07ee54fc44f8642c4e49930a1e986a95ee328d8617f5c02f0c48",
+    ("tx", "decay:0.5", 1, 0.05): "0d953ede53eb07ee54fc44f8642c4e49930a1e986a95ee328d8617f5c02f0c48",
+    ("tx", "decay:0.5", 10, 0.0): "d5749db45f159e9df27a4001607e287659e5f7488bd43a64dc9fe6e0143bb70d",
+    ("tx", "decay:0.5", 10, 0.05): "134989c21f9b463a59ed1fcadcc886d98c3fb3444539bfb99603a4894d3a24ef",
+    ("wtx", "util", 1, 0.0): "18765cd80952f6eb63a10368142ebefb0f394abf5a181c564947c79b67a9a6a4",
+    ("wtx", "util", 1, 0.05): "68cff16aa24ed05c08e313884813f5d7b96739ce88fdd7c6cf12d58772c49fe0",
+    ("wtx", "util", 10, 0.0): "9bc454f12f4ee545ae1d5cae10a7114e834f63190d9d94cb21837f6fd8da465d",
+    ("wtx", "util", 10, 0.05): "61bbf29c507d208a02c3b477f9649698b786ee110eb70a1bbbbd1ad0854cc044",
+    ("wtx", "avgutil", 1, 0.0): "9ec6f2122bc8776cb9c84ed416a487146879a57bd74f6f5e687659da0688684b",
+    ("wtx", "avgutil", 1, 0.05): "10d8e4863f1d8ff725bc17c24fddb4cb69c8b04a436e236e88f4efc1bf8241a0",
+    ("wtx", "avgutil", 10, 0.0): "313ba202599a7fcfd881cfe87579f3df28189902c9db48e76b8894c015ddb1b8",
+    ("wtx", "avgutil", 10, 0.05): "868a327668b3c5e0131d42b9f0e78f53be1801c2b5fe9f8e41d85e64aaab88d4",
+    ("seq-spmf", "freq", 1, 0.0): "2a03d7c2f70e3ff251c3d05b72e0df94b8deac865f1d98fefebf3bf76542acf8",
+    ("seq-spmf", "freq", 1, 0.05): "3a02694f12348caf3dd959bd5fc6e1f3aa98a13231dc2be8ed32a1f9d2e8e1b6",
+    ("seq-spmf", "freq", 10, 0.0): "76131a7f96efe6caa0f92bb7883b86a6b80a5f55ecf1463c38fe231d519006c2",
+    ("seq-spmf", "freq", 10, 0.05): "ad3a35d3381e7f8e241bfb3de83bb94b60fd3e8399d33e6195b6fe4d39cffdda",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_snapshot_digest_is_pinned(case):
+    assert snapshot_digest(*case) == DIGESTS[case]

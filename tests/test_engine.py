@@ -6,7 +6,12 @@ import random
 import pytest
 
 from rps.engine import REALISATION_MODES, ReservoirSampler
-from rps.errors import ConfigurationError, ReservoirNotReady, StreamOrderError
+from rps.errors import (
+    ConfigurationError,
+    ReservoirNotReady,
+    StreamOrderError,
+    WeightOverflowError,
+)
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import Batch, matches, plain_itemset, sequence, weighted_itemset
 from rps.weighting import batch_weight
@@ -199,3 +204,45 @@ def test_snapshot_is_a_copy():
     snap = s.snapshot()
     snap[0] = (99.0, snap[0][1])
     assert s.snapshot()[0][0] == 1.0
+
+
+def _state(s: ReservoirSampler):
+    return (
+        s.snapshot(), s._scaled_mass, s._t_mass, s._t_seen,
+        s.batches_seen, s.batches_accepted, s.insertions, s.rng.getstate(),
+    )
+
+
+def test_failed_batch_changes_nothing():
+    s = ReservoirSampler(FREQ, capacity=3, damping=0.1, seed=4)
+    s.process_batch(Batch(1.0, (plain_itemset([A, B, C]),)))
+    s.process_batch(Batch(2.0, (plain_itemset([A, B]),)))
+    before = _state(s)
+    bad = [
+        # the table of a 1100-item transaction does not fit a float
+        (WeightOverflowError, Batch(3.0, (plain_itemset(range(1100)),))),
+        (StreamOrderError, Batch(math.nan, (plain_itemset([A]),))),
+        (StreamOrderError, Batch(math.inf, (plain_itemset([A]),))),
+        (StreamOrderError, Batch(2.0, (plain_itemset([A]),))),
+    ]
+    for error, batch in bad:
+        with pytest.raises(error):
+            s.process_batch(batch)
+        assert _state(s) == before
+    # the stream goes on as if the bad batches never came
+    twin = ReservoirSampler(FREQ, capacity=3, damping=0.1, seed=4)
+    for t, items in ((1.0, [A, B, C]), (2.0, [A, B]), (3.0, [B, C])):
+        twin.process_batch(Batch(t, (plain_itemset(items),)))
+    s.process_batch(Batch(3.0, (plain_itemset([B, C]),)))
+    assert _state(s) == _state(twin)
+
+
+def test_normalizer_overflow_is_typed_and_changes_nothing():
+    # each batch fits a float (2^1023 - 1), their landmark sum does not
+    heavy = Batch(1.0, (plain_itemset(range(1023)),))
+    s = ReservoirSampler(FREQ, capacity=2, seed=0)
+    s.process_batch(heavy)
+    before = _state(s)
+    with pytest.raises(WeightOverflowError, match="damped stream mass"):
+        s.process_batch(Batch(2.0, heavy.instances))
+    assert _state(s) == before

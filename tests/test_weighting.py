@@ -1,13 +1,23 @@
 """Weight tables: frozen fixture values, dual-route equivalence, counting DP."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from rps.errors import ConfigurationError
-from rps.measures import BaseMeasure, MeasureSpec
-from rps.model import Batch, plain_itemset, sequence, weighted_itemset
+from rps import weighting
+from rps.engine import ReservoirSampler
+from rps.errors import ConfigurationError, WeightOverflowError
+from rps.measures import BaseMeasure, MeasureSpec, parse_measure
+from rps.model import (
+    Batch,
+    PlainItemset,
+    WeightedItemset,
+    plain_itemset,
+    sequence,
+    weighted_itemset,
+)
 from rps.weighting import (
     AdmissibleBlocks,
     batch_weight,
@@ -138,6 +148,67 @@ def test_tables_match_enumeration_randomized():
 def test_weight_table_is_cached():
     z = plain_itemset([A, B])
     assert weight_table(z, FREQ) is weight_table(plain_itemset([B, A]), FREQ)
+    # a plain itemset's table depends only on its size
+    assert weight_table(z, FREQ) is weight_table(plain_itemset([C, 7]), FREQ)
+
+
+def test_weighted_tables_are_the_closed_form_bit_for_bit():
+    rng = random.Random(17)
+    specs = [UTIL, AVGUTIL, MeasureSpec(BaseMeasure.AVGUTIL, min_norm=2, max_norm=5)]
+    for _ in range(200):
+        z = streamgen.random_weighted(rng, alphabet=40, max_items=30)
+        total = math.fsum(z.weights)
+        for spec in specs:
+            want = {
+                ell: total * math.comb(z.norm - 1, ell - 1) * spec.norm_utility(ell)
+                for ell in range(spec.min_norm, spec.norm_cap(z.norm) + 1)
+            }
+            t = weight_table(z, spec)
+            assert t.as_dict() == want
+            assert t.cumulative == tuple(itertools.accumulate(want.values()))
+            assert instance_weight(z, spec) == t.total
+
+
+def test_itemset_memo_holds_one_entry_per_shape():
+    weighting._itemset_shape.cache_clear()
+    rng = random.Random(8)
+    shapes = set()
+    for variant, spec, make in (
+        (PlainItemset, FREQ, lambda: streamgen.random_plain(rng, 300, 40)),
+        (WeightedItemset, UTIL, lambda: streamgen.random_weighted(rng, 300, 40)),
+    ):
+        sampler = ReservoirSampler(spec, capacity=20, seed=1)
+        for t in range(1, 101):
+            batch = Batch(float(t), tuple(make() for _ in range(50)))
+            shapes.update((variant, z.norm, spec) for z in batch.instances)
+            sampler.process_batch(batch)
+    info = weight_table.cache_info()
+    assert info.currsize == info.misses == len(shapes)
+    assert info.hits + info.misses > 10_000
+
+
+@pytest.mark.parametrize(
+    "measure, largest", [("freq", 1024), ("area", 1015), ("decay:0.5", 1029)]
+)
+def test_plain_itemset_size_limit(measure, largest):
+    # a plain itemset's mass grows like 2^n; past the float range the table
+    # is refused with a typed error that names the size
+    spec = parse_measure(measure)
+    assert math.isfinite(instance_weight(plain_itemset(range(largest)), spec))
+    with pytest.raises(WeightOverflowError, match=f"{largest + 1}-item PlainItemset"):
+        instance_weight(plain_itemset(range(largest + 1)), spec)
+
+
+def test_weighted_and_batch_overflow_are_typed():
+    heavy = weighted_itemset({i: 1e300 for i in range(30)})
+    with pytest.raises(WeightOverflowError, match="30-item WeightedItemset"):
+        weight_table(heavy, UTIL)
+    with pytest.raises(WeightOverflowError, match="30-item WeightedItemset"):
+        instance_weight(heavy, UTIL)
+    big = plain_itemset(range(1020))
+    assert math.isfinite(instance_weight(big, FREQ))
+    with pytest.raises(WeightOverflowError, match="batch of 300 instances"):
+        batch_weight(Batch(1.0, (big,) * 300), FREQ)
 
 
 def test_total_weight_decomposition():
