@@ -92,6 +92,7 @@ class ReservoirSampler:
         self._scaled_mass = 0.0
         self._t_mass: float | None = None  # timestamp the normalizer is scaled to
         self._t_seen: float | None = None  # last timestamp seen, for ordering
+        self._variant: type | None = None  # instance type of the stream, once seen
         self.batches_seen = 0
         self.batches_accepted = 0
         self.insertions = 0
@@ -122,10 +123,17 @@ class ReservoirSampler:
             raise StreamOrderError(
                 f"batch timestamp {t} is not after {self._t_seen}"
             )
+        variant = type(batch.instances[0]) if batch.instances else self._variant
         if batch.instances and not self.spec.supports(batch.instances[0]):
             raise ConfigurationError(
                 f"measure {self.spec.base.value} is not defined for "
-                f"{type(batch.instances[0]).__name__} streams"
+                f"{variant.__name__} streams"
+            )
+        if self._variant is not None and variant is not self._variant:
+            # the patterns of two variants would mix in one reservoir
+            raise ConfigurationError(
+                f"a {variant.__name__} batch in a stream of "
+                f"{self._variant.__name__} instances"
             )
         w = batch_weight(batch, self.spec)
         if w > 0.0:
@@ -140,6 +148,7 @@ class ReservoirSampler:
                 )
 
         self._t_seen = t
+        self._variant = variant
         self.batches_seen += 1
         if w <= 0.0:
             # nothing to sample and nothing to add to the normalizer; the

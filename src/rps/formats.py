@@ -83,7 +83,17 @@ def _parse_wtx(line: str, catalog: Catalog) -> tuple[WeightedItemset, str | None
         weights = [float(w) for w in weight_tokens]
     except ValueError as exc:
         raise ParseError(f"bad number in {body.strip()!r}: {exc}") from None
-    total = math.fsum(weights)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose sum is not
+        raise ParseError(
+            f"sum of weights {parts[2].strip()!r} exceeds the largest float"
+        ) from None
+    except ValueError:  # inf and -inf among the weights
+        total = math.nan
+    if not math.isfinite(total):
+        raise ParseError(f"item weights must be finite, got {parts[2].strip()!r}")
+    # a declared total that is not finite never matches a finite sum
     if not math.isclose(total, declared, rel_tol=_WEIGHT_SUM_TOL, abs_tol=_WEIGHT_SUM_TOL):
         raise ParseError(
             f"declared total utility {declared} != sum of weights {total}"
@@ -91,7 +101,11 @@ def _parse_wtx(line: str, catalog: Catalog) -> tuple[WeightedItemset, str | None
     pairs = [(catalog.intern(t), w) for t, w in zip(tokens, weights)]
     if len({i for i, _ in pairs}) != len(pairs):
         raise ParseError(f"duplicate item in weighted itemset {parts[0].strip()!r}")
-    return weighted_itemset(pairs), (label.strip() if sep else None)
+    try:
+        z = weighted_itemset(pairs)
+    except ValueError as exc:  # a weight that is not positive
+        raise ParseError(str(exc)) from None
+    return z, (label.strip() if sep else None)
 
 
 def _parse_seq(line: str, catalog: Catalog) -> tuple[Sequence, str | None]:

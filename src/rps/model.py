@@ -9,7 +9,7 @@ exactly one representation.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 Items = tuple[int, ...]
@@ -127,9 +127,17 @@ class WeightedItemset:
 
 @dataclass(frozen=True, slots=True)
 class Sequence:
-    """Ordered tuple of non-empty itemsets."""
+    """Ordered tuple of non-empty itemsets.
+
+    memo holds what rps.weighting derives from the elements (distinct-pattern
+    counts per norm cap, weight tables per measure), so it is freed with the
+    sequence.  It takes no part in equality, hashing or repr.
+    """
 
     elements: tuple[Items, ...]
+    memo: dict = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self):
         if not self.elements:
@@ -140,6 +148,10 @@ class Sequence:
     @property
     def norm(self) -> int:
         return sum(len(e) for e in self.elements)
+
+    def __reduce__(self):
+        # a pickle or copy carries the elements only; memo is derived
+        return (Sequence, (self.elements,))
 
 
 Instance = Union[PlainItemset, WeightedItemset, Sequence]

@@ -144,20 +144,7 @@ def _draw_sequence_pattern(
     i = -1
     remaining = ell
     while remaining > 0:
-        options: list[tuple[int, int, int]] = []
-        for j in range(i + 1, len(counts.elements)):
-            blocks = counts.blocks(i, j)
-            for q in range(1, min(remaining, len(counts.elements[j])) + 1):
-                ways = blocks.count(q)
-                if not ways:
-                    continue
-                mass = (
-                    ways
-                    if q == remaining
-                    else ways * counts.continuation(j, remaining - q)
-                )
-                if mass:
-                    options.append((j, q, mass))
+        options = counts.first_blocks(i, remaining)
         r = rng.randrange(sum(mass for _, _, mass in options))
         for j, q, mass in options:
             if r < mass:

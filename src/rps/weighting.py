@@ -18,14 +18,21 @@ first-occurrence DP: a pattern is generated by placing each block at the
 earliest position where it fits after the previous block, which makes the
 generating walk unique per pattern.  A block placed at position j after
 position i must not be contained in any intermediate itemset; the number of
-admissible q-subsets of I_j is counted by inclusion-exclusion over the
-deduplicated maximal intersections I_j & I_m for i < m < j.
+admissible q-subsets of I_j is C(|I_j|, q) minus an inclusion-exclusion sum
+over the gap intersections I_j & I_m, i < m < j.  That sum is kept as a tally
+of signed coefficients per distinct intersection set, and for a fixed j it
+grows by one gap as i moves left, so each block's count vector costs one
+fold instead of a pass over every subfamily of gaps.
 
 Each table is cached on what it depends on.  A plain itemset's table is a
 function of (n, spec) alone, so one table serves every itemset of that size.
 A weighted itemset's table multiplies its own W into cached (n, spec) terms.
-A sequence's table and counts depend on its whole structure and are cached
-per instance.
+A sequence's counts and tables depend on its whole structure and live with
+the sequence, in Sequence.memo: they are freed with it.
+
+Cost limits: counting admissible blocks is a hitting-set count, so the
+tally can still hold exponentially many sets when every gap intersection is
+distinct (gaps B - {b} for each b of a block B give every subset of B).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -48,9 +56,6 @@ from .model import (
     Sequence,
     WeightedItemset,
 )
-
-_CACHE_SIZE = 65536
-
 
 @dataclass(frozen=True, slots=True)
 class NormWeightTable:
@@ -150,20 +155,24 @@ def _weighted_masses(z: WeightedItemset, spec: MeasureSpec) -> list[tuple[int, f
         raise _overflow(WeightedItemset, z.norm, spec) from None
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _sequence_table(z: Sequence, spec: MeasureSpec) -> NormWeightTable:
-    # a sequence's table depends on its whole structure: cached per instance
-    if spec.base in (BaseMeasure.UTIL, BaseMeasure.AVGUTIL):
-        raise ConfigurationError(f"{spec.base.value} is not defined for sequences")
-    cap = spec.norm_cap(z.norm)
-    if cap < spec.min_norm:
-        return NormWeightTable.from_pairs(())
-    counts = sequence_counts(z, cap)
-    masses = (
-        (ell, counts.count(ell) * spec.norm_utility(ell))
-        for ell in _norm_range(spec, z.norm)
-    )
-    return _table(Sequence, z.norm, spec, masses)
+    # a sequence's table depends on its whole structure: kept in z.memo
+    table = z.memo.get(spec)
+    if table is None:
+        if spec.base in (BaseMeasure.UTIL, BaseMeasure.AVGUTIL):
+            raise ConfigurationError(f"{spec.base.value} is not defined for sequences")
+        cap = spec.norm_cap(z.norm)
+        if cap < spec.min_norm:
+            table = NormWeightTable.from_pairs(())
+        else:
+            counts = sequence_counts(z, cap)
+            masses = (
+                (ell, counts.count(ell) * spec.norm_utility(ell))
+                for ell in _norm_range(spec, z.norm)
+            )
+            table = _table(Sequence, z.norm, spec, masses)
+        z.memo[spec] = table
+    return table
 
 
 def weight_table(z: Instance, spec: MeasureSpec) -> NormWeightTable:
@@ -226,29 +235,43 @@ def _maximal(sets_: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
     return tuple(kept)
 
 
-def _signed_tally(gaps: tuple[frozenset[int], ...]) -> dict[int, int]:
-    """Signed count of |intersection| over non-empty subfamilies of gaps.
+# signed inclusion-exclusion coefficient per distinct intersection of gaps
+Tally = dict[frozenset[int], int]
 
-    tally[s] sums +1 for odd subfamilies and -1 for even ones whose common
-    intersection has size s, so sum(tally[s] * C(s, q)) is the number of
-    q-subsets covered by at least one gap.  Empty intersections are pruned:
-    they stay empty under further intersection and contribute C(0, q) = 0.
+
+def _fold(tally: Tally, gap: frozenset[int]) -> Tally:
+    """The tally after one more gap.
+
+    sum(c * C(|S|, q) for S, c in tally) counts the q-subsets that lie in at
+    least one gap.  A new gap G adds +1 at G and -c at S & G for every entry
+    (S, c): equal sets merge, zero coefficients and empty sets drop (an
+    empty set holds no q-subset for q >= 1).  Such an expansion is unique,
+    and every maximal gap is one of its keys, so a gap inside an earlier gap
+    is inside a key: it covers nothing new and the same tally comes back.
     """
-    tally: dict[int, int] = {}
-    n = len(gaps)
+    if not gap or any(gap <= s for s in tally):
+        return tally
+    out = dict(tally)
+    out[gap] = 1
+    for s, c in tally.items():
+        inter = s & gap
+        if inter:
+            left = out.get(inter, 0) - c
+            if left:
+                out[inter] = left
+            else:
+                del out[inter]
+    return out
 
-    def descend(start: int, inter: frozenset[int], sign: int) -> None:
-        for idx in range(start, n):
-            nxt = inter & gaps[idx]
-            if not nxt:
-                continue
-            tally[len(nxt)] = tally.get(len(nxt), 0) + sign
-            descend(idx + 1, nxt, -sign)
 
-    for idx in range(n):
-        tally[len(gaps[idx])] = tally.get(len(gaps[idx]), 0) + 1
-        descend(idx + 1, gaps[idx], -1)
-    return tally
+def _count_ways(size: int, tally: Tally, qmax: int) -> tuple[int, ...]:
+    """ways[q]: the q-subsets of a size-item base in no gap, for 1 <= q <=
+    qmax; ways[0] is 0."""
+    ways = [0] + [math.comb(size, q) for q in range(1, qmax + 1)]
+    for s, c in tally.items():
+        for q in range(1, min(len(s), qmax) + 1):
+            ways[q] -= c * math.comb(len(s), q)
+    return tuple(ways)
 
 
 class AdmissibleBlocks:
@@ -262,7 +285,7 @@ class AdmissibleBlocks:
     position is its first fit.
     """
 
-    __slots__ = ("base", "gaps", "_tally", "_enum")
+    __slots__ = ("base", "gaps", "_ways", "_enum")
 
     def __init__(self, base: Items, gap_itemsets: Iterable[Items]):
         self.base = base
@@ -270,14 +293,18 @@ class AdmissibleBlocks:
         inters = {frozenset(g) & base_set for g in gap_itemsets}
         inters.discard(frozenset())
         self.gaps = _maximal(inters)
-        self._tally = _signed_tally(self.gaps)
+        self._ways: tuple[int, ...] | None = None
         self._enum: dict[int, tuple[Items, ...]] = {}
 
     def count(self, q: int) -> int:
         if q < 1 or q > len(self.base):
             return 0
-        covered = sum(sign * math.comb(size, q) for size, sign in self._tally.items())
-        return math.comb(len(self.base), q) - covered
+        if self._ways is None:
+            tally: Tally = {}
+            for gap in self.gaps:
+                tally = _fold(tally, gap)
+            self._ways = _count_ways(len(self.base), tally, len(self.base))
+        return self._ways[q]
 
     def covered(self, items: Iterable[int]) -> bool:
         s = frozenset(items)
@@ -294,61 +321,108 @@ class AdmissibleBlocks:
         return got
 
 
+def _block_ways(elements: tuple[Items, ...], j: int, cap: int) -> list[tuple[int, ...]]:
+    """ways(i, j) for i = -1 .. j-1, at index i + 1.
+
+    Moving i left from j - 1 folds one more gap, elements[i + 1] & elements[j],
+    into the tally; positions whose gap adds nothing share one vector.
+    """
+    base = frozenset(elements[j])
+    qmax = min(cap, len(base))
+    tally: Tally = {}
+    ways = _count_ways(len(base), tally, qmax)
+    out = [ways] * (j + 1)
+    for i in range(j - 2, -2, -1):
+        grown = _fold(tally, base.intersection(elements[i + 1]))
+        if grown is not tally:
+            tally = grown
+            ways = _count_ways(len(base), tally, qmax)
+        out[i + 1] = ways
+    return out
+
+
 class SequenceCounts:
     """Distinct-pattern counts by norm for one sequence.
 
     continuation(i, ell) is the number of distinct patterns of norm ell whose
     first block is placed at its first admissible position strictly after
     position i (i = -1 for the start).  Greedy placement is unique per
-    pattern, so every pattern is counted exactly once.  The table is filled
-    bottom-up in ell so deep sequences cannot overflow the stack.
+    pattern, so every pattern is counted exactly once:
+
+      continuation(i, ell) = sum over j > i, q >= 1 of
+                             ways(i, j)[q] * continuation(j, ell - q)
+
+    with continuation(j, 0) = 1.  Each block's ways vector is computed once,
+    and the table is filled row by row from the last position back, so deep
+    sequences cannot overflow the stack.  Only integers are kept; the
+    AdmissibleBlocks of a block is built when a draw lands on it.
     """
 
-    __slots__ = ("elements", "cap", "_n", "_blocks", "_table")
+    __slots__ = ("elements", "cap", "_n", "_ways", "_table", "_blocks")
 
     def __init__(self, elements: tuple[Items, ...], cap: int):
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
         self.elements = elements
         self.cap = cap
-        self._n = len(elements)
+        n = self._n = len(elements)
+        # _ways[j][i + 1] = ways(i, j)
+        self._ways = [_block_ways(elements, j, cap) for j in range(n)]
+        # continuation(j, ell) is 0 past the norm of the elements after j
+        after_norm = list(accumulate((len(e) for e in reversed(elements)), initial=0))
+        after_norm.reverse()
+        # _table[i + 1][ell] = continuation(i, ell)
+        table = [[1] + [0] * cap for _ in range(n + 1)]
+        for i in range(n - 1, -2, -1):
+            row = table[i + 1]
+            for j in range(i + 1, n):
+                after = table[j + 1]
+                for q, ways in enumerate(self._ways[j][i + 1]):
+                    if ways:
+                        for ell in range(q, min(cap, q + after_norm[j + 1]) + 1):
+                            row[ell] += ways * after[ell - q]
+        self._table = table
         self._blocks: dict[tuple[int, int], AdmissibleBlocks] = {}
-        # _table[i + 1][ell] = continuation(i, ell); column 0 unused
-        self._table = [[0] * (cap + 1) for _ in range(self._n + 1)]
-        for ell in range(1, cap + 1):
-            for i in range(self._n - 1, -2, -1):
-                self._table[i + 1][ell] = self._compute(i, ell)
 
-    def _compute(self, i: int, ell: int) -> int:
-        total = 0
-        for j in range(i + 1, self._n):
-            blocks = self.blocks(i, j)
-            for q in range(1, min(ell, len(self.elements[j])) + 1):
-                ways = blocks.count(q)
-                if not ways:
-                    continue
-                if q == ell:
-                    total += ways
-                else:
-                    total += ways * self._table[j + 1][ell - q]
-        return total
+    def ways(self, i: int, j: int) -> tuple[int, ...]:
+        """ways(i, j)[q]: admissible q-blocks at position j after position i,
+        for 1 <= q <= min(cap, len(elements[j]))."""
+        if not -1 <= i < j < self._n:
+            raise ValueError(f"no block at {j} after {i}")
+        return self._ways[j][i + 1]
 
     def blocks(self, i: int, j: int) -> AdmissibleBlocks:
         """Admissible first-fit blocks at position j after position i."""
         key = (i, j)
         got = self._blocks.get(key)
         if got is None:
-            got = AdmissibleBlocks(
-                self.elements[j], self.elements[i + 1 : j]
-            )
+            got = AdmissibleBlocks(self.elements[j], self.elements[i + 1 : j])
             self._blocks[key] = got
         return got
 
-    def continuation(self, i: int, ell: int) -> int:
+    def _check(self, i: int, ell: int) -> None:
         if not -1 <= i < self._n:
             raise ValueError(f"position {i} out of range")
         if not 1 <= ell <= self.cap:
             raise ValueError(f"norm {ell} outside [1, {self.cap}]")
+
+    def first_blocks(self, i: int, ell: int) -> list[tuple[int, int, int]]:
+        """The positive terms (j, q, mass) of continuation(i, ell), j then q
+        ascending: mass patterns of norm ell start with an admissible
+        q-block at position j."""
+        self._check(i, ell)
+        terms = []
+        for j in range(i + 1, self._n):
+            after = self._table[j + 1]
+            ways = self._ways[j][i + 1]
+            for q in range(1, min(ell, len(ways) - 1) + 1):
+                mass = ways[q] * after[ell - q]
+                if mass:
+                    terms.append((j, q, mass))
+        return terms
+
+    def continuation(self, i: int, ell: int) -> int:
+        self._check(i, ell)
         return self._table[i + 1][ell]
 
     def count(self, ell: int) -> int:
@@ -356,6 +430,22 @@ class SequenceCounts:
         return self.continuation(-1, ell)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
+CacheInfo = namedtuple("CacheInfo", "hits misses")
+_counts_lookups = {"hits": 0, "misses": 0}
+
+
 def sequence_counts(z: Sequence, cap: int) -> SequenceCounts:
-    return SequenceCounts(z.elements, min(cap, z.norm))
+    """z's counts up to norm min(cap, z.norm).  They are built once and kept
+    in z.memo, so they live exactly as long as the sequence."""
+    cap = min(cap, z.norm)
+    got = z.memo.get(cap)
+    if got is None:
+        got = z.memo[cap] = SequenceCounts(z.elements, cap)
+        _counts_lookups["misses"] += 1
+    else:
+        _counts_lookups["hits"] += 1
+    return got
+
+
+# misses count the SequenceCounts built, hits the lookups that reused one
+sequence_counts.cache_info = lambda: CacheInfo(**_counts_lookups)

@@ -271,3 +271,17 @@ def test_oversized_transaction_exits_1_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("rps: ") and "1100-item PlainItemset" in err
+
+
+def test_wtx_weight_overflow_exits_1_with_one_line(tmp_path, capsys):
+    # each weight is finite, their sum is not
+    bad = tmp_path / "bad.wtx"
+    bad.write_text("a:1:1\na b:1e308:1e308 1e308\n", encoding="utf-8")
+    code = main([
+        "sample", "--input", str(bad), "--format", "wtx",
+        "--measure", "util", "--output", "-",
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("rps: line 2: ") and "exceeds the largest float" in err

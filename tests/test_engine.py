@@ -237,6 +237,25 @@ def test_failed_batch_changes_nothing():
     assert _state(s) == _state(twin)
 
 
+def test_stream_variant_is_pinned_at_its_first_non_empty_batch():
+    # under freq a plain itemset {A} and a sequence <{A}> would both weigh
+    # in, and their patterns would mix in one reservoir
+    s = ReservoirSampler(FREQ, capacity=3, damping=0.1, seed=4)
+    s.process_batch(Batch(1.0, ()))
+    s.process_batch(Batch(2.0, (plain_itemset([A, B]),)))
+    s.process_batch(Batch(3.0, ()))
+    before = _state(s)
+    with pytest.raises(ConfigurationError, match="Sequence batch in a stream of Plain"):
+        s.process_batch(Batch(4.0, (sequence([[A], [B]]),)))
+    assert _state(s) == before
+    s.process_batch(Batch(4.0, (plain_itemset([A]),)))
+    # the first non-empty batch pins the variant, whatever it is
+    seq = ReservoirSampler(FREQ, capacity=3, seed=4)
+    seq.process_batch(Batch(1.0, (sequence([[A], [B]]),)))
+    with pytest.raises(ConfigurationError):
+        seq.process_batch(Batch(2.0, (plain_itemset([A]),)))
+
+
 def test_normalizer_overflow_is_typed_and_changes_nothing():
     # each batch fits a float (2^1023 - 1), their landmark sum does not
     heavy = Batch(1.0, (plain_itemset(range(1023)),))

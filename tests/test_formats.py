@@ -11,6 +11,7 @@ from rps.formats import (
     parse_instance,
     parse_pattern,
     pattern_text,
+    read_instances,
     read_snapshot,
     serialize_instance,
     write_snapshot,
@@ -59,6 +60,27 @@ def test_parse_wtx():
         parse_instance("a b c:6:2 2 x", "wtx", cat)  # bad number
     with pytest.raises(ParseError):
         parse_instance("a:1", "wtx", cat)  # missing a section
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("a b:1e308:1e308 1e308", "exceeds the largest float"),  # fsum overflow
+        ("a b:1:inf -inf", "must be finite"),
+        ("a:inf:inf", "must be finite"),
+        ("a b:inf:1 inf", "must be finite"),
+        ("a:nan:nan", "must be finite"),
+        ("a:1e309:1", "declared total utility inf"),
+        ("a:0:0", "must be positive"),
+        ("a b:1:2 -1", "must be positive"),
+    ],
+)
+def test_parse_wtx_refuses_non_finite_weights(line, message):
+    with pytest.raises(ParseError, match=message):
+        parse_instance(line, "wtx", Catalog())
+    # read from lines, the error names the line
+    with pytest.raises(ParseError, match=f"line 2: .*{message}"):
+        list(read_instances(["a:1:1", line], "wtx", Catalog()))
 
 
 def test_parse_seq_spmf():

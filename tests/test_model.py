@@ -1,5 +1,7 @@
 """Model invariants: canonical forms, validation, containment."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -79,6 +81,15 @@ def test_sequence_and_pattern_norms():
     assert x.norm == 3
     assert not x.is_itemset
     assert pattern([[A, B]]).is_itemset
+
+
+def test_sequence_memo_stays_out_of_equality_pickles_and_copies():
+    z = sequence([[B], [C, A], [A]])
+    z.memo["derived"] = object()
+    twin = sequence([[B], [C, A], [A]])
+    assert z == twin and hash(z) == hash(twin) and repr(z) == repr(twin)
+    for clone in (pickle.loads(pickle.dumps(z)), copy.copy(z), copy.deepcopy(z)):
+        assert clone == z and clone.memo == {}
 
 
 def test_batch_invariants():

@@ -1,8 +1,10 @@
 """Weight tables: frozen fixture values, dual-route equivalence, counting DP."""
 
+import gc
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -13,6 +15,7 @@ from rps.measures import BaseMeasure, MeasureSpec, parse_measure
 from rps.model import (
     Batch,
     PlainItemset,
+    Sequence,
     WeightedItemset,
     plain_itemset,
     sequence,
@@ -20,6 +23,7 @@ from rps.model import (
 )
 from rps.weighting import (
     AdmissibleBlocks,
+    SequenceCounts,
     batch_weight,
     instance_weight,
     sequence_counts,
@@ -103,6 +107,89 @@ def test_sequence_counts_gap_suppression():
     # norm 1: {A}, {B}; norm 5: <{A,B}{A}{A,B}> only
     assert counts.count(1) == 2
     assert counts.count(5) == 1
+
+
+def _nested_sequence(rng: random.Random, alphabet: int, length: int) -> Sequence:
+    # itemsets that repeat, nest in one another and overlap, so that gaps
+    # merge, cancel and cover each other
+    elements: list[tuple[int, ...]] = []
+    for _ in range(length):
+        roll = rng.random()
+        if elements and roll < 0.25:
+            elements.append(rng.choice(elements))
+        elif elements and roll < 0.5:
+            parent = rng.choice(elements)
+            elements.append(rng.sample(parent, rng.randint(1, len(parent))))
+        elif elements and roll < 0.6:
+            extra = rng.sample(range(alphabet), rng.randint(1, 3))
+            elements.append(sorted(set(rng.choice(elements)) | set(extra)))
+        else:
+            size = rng.randint(1, min(alphabet, 6))
+            elements.append(rng.sample(range(alphabet), size))
+    return sequence(elements)
+
+
+def test_block_ways_equal_admissible_enumeration():
+    rng = random.Random(3140)
+    for _ in range(150):
+        z = _nested_sequence(rng, rng.choice((3, 6, 10)), rng.randint(1, 9))
+        counts = SequenceCounts(z.elements, rng.randint(1, z.norm))
+        for j, base in enumerate(z.elements):
+            for i in range(-1, j):
+                ways = counts.ways(i, j)
+                blocks = AdmissibleBlocks(base, z.elements[i + 1 : j])
+                assert len(ways) == min(counts.cap, len(base)) + 1
+                for q in range(1, len(ways)):
+                    assert ways[q] == len(blocks.admissible(q)), (z, i, j, q)
+
+
+def test_sequence_counts_match_enumeration_on_nested_itemsets():
+    rng = random.Random(99)
+    checked = 0
+    while checked < 60:
+        z = _nested_sequence(rng, 5, rng.randint(1, 6))
+        if z.norm > 12:  # past the oracle's enumeration limit
+            continue
+        checked += 1
+        want = streamgen.enumeration_table(z, FREQ)
+        assert weight_table(z, FREQ).as_dict() == want, z
+
+
+def test_sequence_counts_stress_bound():
+    # 40 itemsets of 12 items out of 16: every block after the first sees
+    # dozens of overlapping gaps (a 2^gaps inclusion-exclusion took 16 s)
+    rng = random.Random(40)
+    elements = tuple(tuple(sorted(rng.sample(range(16), 12))) for _ in range(40))
+    start = time.process_time()
+    counts = SequenceCounts(elements, 12)
+    assert time.process_time() - start < 2.0
+    assert counts.count(1) == 16
+    # any two items in a row, or any two together
+    assert counts.count(2) == 16 * 16 + math.comb(16, 2)
+    assert counts.count(12) > 0
+
+
+def test_sequence_state_lives_with_the_sequence():
+    earlier = [o for o in gc.get_objects() if isinstance(o, SequenceCounts)]
+    built = sequence_counts.cache_info().misses
+    rng = random.Random(12)
+    sampler = ReservoirSampler(FREQ, capacity=10, damping=0.05, seed=3)
+    fresh = 0
+    for t in range(1, 301):
+        batch = Batch(float(t), tuple(streamgen.random_sequence(rng) for _ in range(5)))
+        fresh += len(batch.instances)
+        sampler.process_batch(batch)
+    del batch
+    # weighing and every draw reuse the counts built for each sequence
+    assert sampler.batches_accepted > 10
+    assert sequence_counts.cache_info().misses - built == fresh
+    gc.collect()
+    left = [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, SequenceCounts) and not any(o is e for e in earlier)
+    ]
+    assert left == []
 
 
 def test_batch_weight_fixture():
