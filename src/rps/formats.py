@@ -10,6 +10,12 @@ Formats:
             and "-2" ends the line, with an optional leading "label|":
                                               greet|1 2 -1 3 -1 -2
 
+Each format has one parser, looked up once per stream.  The tokens of a tx
+or wtx line are resolved to ids in one Catalog call; seq-spmf interns token
+by token, which measured faster for its short itemsets.  The instance
+constructors check every result.  Batches carry no labels; read_instances
+yields them.
+
 Pattern text is "{a,b}" for itemset patterns and "<{a}{b,c}>" for sequence
 patterns, tokens in item-id (interning) order.  Snapshot files hold one
 "norm<TAB>pattern<TAB>timestamp" line per reservoir slot; lines starting
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import ParseError
 from .model import (
@@ -32,7 +38,6 @@ from .model import (
     Sequence,
     WeightedItemset,
     canon_items,
-    weighted_itemset,
 )
 
 FORMATS = ("tx", "wtx", "seq-spmf")
@@ -48,13 +53,7 @@ def parse_instance(
     line: str, fmt: str, catalog: Catalog
 ) -> tuple[Instance, str | None]:
     """One non-blank line -> (instance, label or None)."""
-    if fmt == "tx":
-        return _parse_tx(line, catalog)
-    if fmt == "wtx":
-        return _parse_wtx(line, catalog)
-    if fmt == "seq-spmf":
-        return _parse_seq(line, catalog)
-    raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _parser(fmt)(line, catalog)
 
 
 def _parse_tx(line: str, catalog: Catalog) -> tuple[PlainItemset, str | None]:
@@ -80,7 +79,7 @@ def _parse_wtx(line: str, catalog: Catalog) -> tuple[WeightedItemset, str | None
         )
     try:
         declared = float(parts[1])
-        weights = [float(w) for w in weight_tokens]
+        weights = list(map(float, weight_tokens))
     except ValueError as exc:
         raise ParseError(f"bad number in {body.strip()!r}: {exc}") from None
     try:
@@ -98,11 +97,11 @@ def _parse_wtx(line: str, catalog: Catalog) -> tuple[WeightedItemset, str | None
         raise ParseError(
             f"declared total utility {declared} != sum of weights {total}"
         )
-    pairs = [(catalog.intern(t), w) for t, w in zip(tokens, weights)]
-    if len({i for i, _ in pairs}) != len(pairs):
+    ids = catalog.ids(tokens)
+    if len(set(ids)) != len(ids):
         raise ParseError(f"duplicate item in weighted itemset {parts[0].strip()!r}")
     try:
-        z = weighted_itemset(pairs)
+        z = WeightedItemset(*zip(*sorted(zip(ids, weights))))
     except ValueError as exc:  # a weight that is not positive
         raise ParseError(str(exc)) from None
     return z, (label.strip() if sep else None)
@@ -138,6 +137,16 @@ def _parse_seq(line: str, catalog: Catalog) -> tuple[Sequence, str | None]:
     if not elements:
         raise ParseError("empty sequence")
     return Sequence(tuple(elements)), label
+
+
+_PARSERS = {"tx": _parse_tx, "wtx": _parse_wtx, "seq-spmf": _parse_seq}
+
+
+def _parser(fmt: str) -> Callable[[str, Catalog], tuple[Instance, str | None]]:
+    try:
+        return _PARSERS[fmt]
+    except KeyError:
+        raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}") from None
 
 
 def _num(x: float) -> str:
@@ -211,6 +220,15 @@ def read_instances(
     batch assembly can treat them as separators.  Parse errors are re-raised
     with the 1-based line number attached.
     """
+    return _read(lines, _parser(fmt), catalog)
+
+
+def _read(
+    lines: Iterable[str], parse: Callable[[str, Catalog], tuple], catalog: Catalog
+) -> Iterator[tuple]:
+    """(line_no, *parse(line, catalog)) per stripped non-blank line, and
+    (line_no, None, None) per blank line, with read_instances' comments
+    and line numbers."""
     for line_no, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped.startswith("#"):
@@ -219,12 +237,12 @@ def read_instances(
             yield line_no, None, None
             continue
         try:
-            z, label = parse_instance(stripped, fmt, catalog)
+            first, second = parse(stripped, catalog)
         except ParseError as exc:
             if exc.line_no is None:
                 raise ParseError(str(exc), line_no) from None
             raise
-        yield line_no, z, label
+        yield line_no, first, second
 
 
 def iter_batches(
@@ -243,6 +261,8 @@ def iter_batches(
     timestamps="explicit": each line starts with a timestamp column and
     consecutive lines with equal timestamps form one batch; batch_size is
     ignored and timestamps must not decrease.
+
+    Labels are not kept; read_instances gives them.
     """
     if timestamps == "explicit":
         yield from _iter_batches_explicit(lines, fmt, catalog)
@@ -257,81 +277,51 @@ def iter_batches(
     if isinstance(batch_size, int) and batch_size < 1:
         raise ParseError(f"batch size must be >= 1, got {batch_size}")
 
+    t = 0.0
     pending: list[Instance] = []
-    labels: list[str | None] = []
-    ordinal = 0
-
-    def flush() -> Batch | None:
-        nonlocal ordinal
-        if not pending:
-            return None
-        ordinal += 1
-        batch = _make_batch(float(ordinal), pending, labels)
-        pending.clear()
-        labels.clear()
-        return batch
-
-    for _, z, label in read_instances(lines, fmt, catalog):
-        if z is None:
-            if batch_size == "marker":
-                done = flush()
-                if done is not None:
-                    yield done
+    for _, z, _ in read_instances(lines, fmt, catalog):
+        if z is not None:
+            pending.append(z)
+            if len(pending) != batch_size:
+                continue
+        elif batch_size != "marker" or not pending:
             continue
-        pending.append(z)
-        labels.append(label)
-        if isinstance(batch_size, int) and len(pending) == batch_size:
-            yield flush()
-    done = flush()
-    if done is not None:
-        yield done
+        t += 1.0
+        yield Batch(t, tuple(pending))
+        pending = []
+    if pending:
+        yield Batch(t + 1.0, tuple(pending))
 
 
 def _iter_batches_explicit(
     lines: Iterable[str], fmt: str, catalog: Catalog
 ) -> Iterator[Batch]:
-    pending: list[Instance] = []
-    labels: list[str | None] = []
-    current_t: float | None = None
+    parse = _parser(fmt)
 
-    for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        first, _, rest = stripped.partition(" ")
+    def parse_stamped(line: str, catalog: Catalog) -> tuple[float, Instance]:
+        first, _, rest = line.partition(" ")
         try:
             t = float(first)
         except ValueError:
-            raise ParseError(f"bad timestamp {first!r}", line_no) from None
-        try:
-            z, label = parse_instance(rest.strip(), fmt, catalog)
-        except ParseError as exc:
-            if exc.line_no is None:
-                raise ParseError(str(exc), line_no) from None
-            raise
+            raise ParseError(f"bad timestamp {first!r}") from None
+        return t, parse(rest.strip(), catalog)[0]
+
+    pending: list[Instance] = []
+    current_t: float | None = None
+    for line_no, t, z in _read(lines, parse_stamped, catalog):
+        if z is None:
+            continue
         if current_t is not None and t != current_t:
             if t < current_t:
                 raise ParseError(
                     f"timestamp {t} decreases below {current_t}", line_no
                 )
-            yield _make_batch(current_t, pending, labels)
-            pending, labels = [], []
+            yield Batch(current_t, tuple(pending))
+            pending = []
         current_t = t
         pending.append(z)
-        labels.append(label)
     if pending:
-        yield _make_batch(current_t, pending, labels)
-
-
-def _make_batch(
-    t: float, instances: list[Instance], labels: list[str | None]
-) -> Batch:
-    packed = (
-        tuple(lbl or "" for lbl in labels)
-        if any(lbl is not None for lbl in labels)
-        else None
-    )
-    return Batch(t, tuple(instances), packed)
+        yield Batch(current_t, tuple(pending))
 
 
 def write_snapshot(

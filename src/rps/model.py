@@ -8,9 +8,10 @@ exactly one representation.
 
 from __future__ import annotations
 
-import threading
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from operator import lt
+from typing import Collection, Iterable, Mapping, Union
 
 Items = tuple[int, ...]
 
@@ -18,31 +19,39 @@ Items = tuple[int, ...]
 class Catalog:
     """Append-only bijection between string tokens and dense ids.
 
-    Lookups are plain dict reads; insertion is serialized so concurrent
-    readers never observe a half-registered token.
+    Ids are given in order of first appearance.  The catalog is
+    single-threaded: interning is a plain dict read, plus a write for a
+    token not seen before.
     """
 
     def __init__(self, tokens: Iterable[str] = ()):
         self._ids: dict[str, int] = {}
         self._tokens: list[str] = []
-        self._lock = threading.Lock()
         for tok in tokens:
             self.intern(tok)
 
     def intern(self, token: str) -> int:
         got = self._ids.get(token)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._ids.get(token)
-            if got is None:
-                got = len(self._tokens)
-                self._tokens.append(token)
-                self._ids[token] = got
-            return got
+        if got is None:
+            got = self._ids[token] = len(self._tokens)
+            self._tokens.append(token)
+        return got
 
-    def intern_all(self, tokens: Iterable[str]) -> Items:
-        return canon_items(self.intern(t) for t in tokens)
+    def ids(self, tokens: Collection[str]) -> list[int]:
+        """The ids of tokens, in token order.  A token not seen before is
+        interned where it first appears; tokens are then read a second time,
+        so they must be a collection, not a one-shot iterator."""
+        try:
+            return list(map(self._ids.__getitem__, tokens))
+        except KeyError:
+            return list(map(self.intern, tokens))
+
+    def intern_all(self, tokens: Collection[str]) -> Items:
+        """canon_items(self.ids(tokens)), without the intermediate list."""
+        try:
+            return tuple(sorted(set(map(self._ids.__getitem__, tokens))))
+        except KeyError:
+            return tuple(sorted(set(map(self.intern, tokens))))
 
     def token(self, item_id: int) -> str:
         return self._tokens[item_id]
@@ -69,7 +78,7 @@ def _check_items(items: Items) -> None:
         raise ValueError("itemset must be non-empty")
     if items[0] < 0:
         raise ValueError(f"item ids are non-negative: {items!r}")
-    if any(a >= b for a, b in zip(items, items[1:])):
+    if not all(map(lt, items, items[1:])):
         raise ValueError(f"items must be strictly increasing: {items!r}")
 
 
@@ -102,7 +111,9 @@ class WeightedItemset:
         _check_items(self.items)
         if len(self.weights) != len(self.items):
             raise ValueError("weights must align 1:1 with items")
-        if any(not w > 0 for w in self.weights):
+        if not all(map(math.isfinite, self.weights)):
+            raise ValueError(f"item weights must be finite: {self.weights!r}")
+        if not all(map((0.0).__lt__, self.weights)):
             raise ValueError(f"item weights must be positive: {self.weights!r}")
 
     @property
@@ -181,22 +192,16 @@ class Pattern:
 
 @dataclass(frozen=True, slots=True)
 class Batch:
-    """Timestamped group of same-variant instances; may be empty.
-
-    labels, when present, align 1:1 with instances (empty string = no label).
-    """
+    """Timestamped group of same-variant instances; may be empty."""
 
     timestamp: float
     instances: tuple[Instance, ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        kinds = {type(z) for z in self.instances}
+        kinds = set(map(type, self.instances))
         if len(kinds) > 1:
             names = sorted(k.__name__ for k in kinds)
             raise ValueError(f"batch mixes instance variants: {names}")
-        if self.labels is not None and len(self.labels) != len(self.instances):
-            raise ValueError("labels must align 1:1 with instances")
 
 
 def plain_itemset(items: Iterable[int]) -> PlainItemset:

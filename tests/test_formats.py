@@ -22,6 +22,7 @@ from rps.model import (
     PlainItemset,
     Sequence,
     WeightedItemset,
+    canon_items,
     pattern,
 )
 
@@ -108,6 +109,86 @@ def test_parse_seq_spmf():
 def test_unknown_format():
     with pytest.raises(ParseError):
         parse_instance("a b", "csv", Catalog())
+    with pytest.raises(ParseError, match="unknown format 'csv'"):
+        read_instances([], "csv", Catalog())
+
+
+def _reference_parse(line, fmt, cat):
+    """(instance, label) from one intern call per token, in token order."""
+    if fmt == "seq-spmf":
+        head, sep, body = line.partition("|")
+        runs = (body if sep else line).split("-2")[0].split("-1")
+        elements = [canon_items(cat.intern(t) for t in run.split()) for run in runs]
+        return Sequence(tuple(e for e in elements if e)), (head.strip() if sep else None)
+    body, sep, label = line.partition("|")
+    label = label.strip() if sep else None
+    if fmt == "tx":
+        return PlainItemset(canon_items(cat.intern(t) for t in body.split())), label
+    items, _, weights = body.split(":")
+    by_id = {cat.intern(t): float(w) for t, w in zip(items.split(), weights.split())}
+    return WeightedItemset(tuple(sorted(by_id)), tuple(by_id[i] for i in sorted(by_id))), label
+
+
+def _random_lines(fmt, rng):
+    # the alphabet grows as the stream goes on, so new tokens keep turning up
+    # mid-stream, next to known ones, and tx/seq lines repeat tokens
+    lines = []
+    for n in range(300):
+        alphabet = [f"t{i}" for i in range(3 + n // 3)]
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append("# a comment")
+            continue
+        if roll < 0.1:
+            lines.append("")
+            continue
+        label = rng.choice([None, "x", "a b"])
+        if fmt == "tx":
+            line = " ".join(rng.choices(alphabet, k=rng.randint(1, 8)))
+            lines.append(f"{line}|{label}" if label else line)
+        elif fmt == "wtx":
+            items = rng.sample(alphabet, rng.randint(1, min(8, len(alphabet))))
+            weights = [rng.choice([1, 2.5, 0.125, 7]) for _ in items]
+            line = f"{' '.join(items)}:{sum(weights)}:{' '.join(map(str, weights))}"
+            lines.append(f"{line}|{label}" if label else line)
+        else:
+            runs = [rng.choices(alphabet, k=rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+            line = " ".join(" ".join(run) + " -1" for run in runs) + " -2"
+            lines.append(f"{label}|{line}" if label else line)
+    return lines
+
+
+@pytest.mark.parametrize("fmt", ["tx", "wtx", "seq-spmf"])
+def test_bulk_ingest_equals_per_token_interning(fmt):
+    lines = _random_lines(fmt, random.Random(f"ingest/{fmt}"))
+    cat, ref_cat = Catalog(), Catalog()
+    got = list(read_instances(lines, fmt, cat))
+    want = []
+    for line_no, line in enumerate(lines, start=1):
+        if line.startswith("#"):
+            continue
+        if not line:
+            want.append((line_no, None, None))
+            continue
+        want.append((line_no, *_reference_parse(line, fmt, ref_cat)))
+    assert got == want
+    assert any(label for _, _, label in got) and any(z is None for _, z, _ in got)
+    assert len(cat) > 50
+    assert [cat.token(i) for i in range(len(cat))] == [
+        ref_cat.token(i) for i in range(len(ref_cat))
+    ]
+
+
+def test_refused_wtx_line_interns_what_per_token_interning_did():
+    cat = Catalog(["a"])
+    # numbers are checked before any token is interned
+    with pytest.raises(ParseError, match="declared total"):
+        parse_instance("b c:9:1 2", "wtx", cat)
+    assert len(cat) == 1
+    # the ids are looked up before the duplicate check
+    with pytest.raises(ParseError, match="duplicate item"):
+        parse_instance("b c b:3:1 1 1", "wtx", cat)
+    assert [cat.token(i) for i in range(len(cat))] == ["a", "b", "c"]
 
 
 def test_round_trip_instances():
@@ -163,7 +244,7 @@ def test_iter_batches_marker_mode():
     batches = list(iter_batches(lines, "tx", cat))
     assert [b.timestamp for b in batches] == [1.0, 2.0, 3.0]
     assert [len(b.instances) for b in batches] == [2, 1, 1]
-    assert all(b.labels is None for b in batches)
+    assert all(label is None for _, _, label in read_instances(lines, "tx", Catalog()))
 
 
 def test_iter_batches_fixed_size():
@@ -191,12 +272,12 @@ def test_iter_batches_explicit_timestamps():
     cat = Catalog()
     batches = list(iter_batches(lines, "tx", cat, timestamps="explicit"))
     assert [b.timestamp for b in batches] == [0.5, 2.0, 2.5]
-    assert batches[0].labels == ("one", "")
-    assert batches[1].labels is None
-    with pytest.raises(ParseError):
-        list(iter_batches(["2 a", "1 b"], "tx", cat, timestamps="explicit"))
-    with pytest.raises(ParseError):
-        list(iter_batches(["x a"], "tx", cat, timestamps="explicit"))
+    with pytest.raises(ParseError, match="line 3: timestamp 1.0 decreases below 2.0"):
+        list(iter_batches(["2 a", "", "1 b"], "tx", cat, timestamps="explicit"))
+    with pytest.raises(ParseError, match="line 2: bad timestamp 'x'"):
+        list(iter_batches(["# t a", "x a"], "tx", cat, timestamps="explicit"))
+    with pytest.raises(ParseError, match="line 1: empty itemset"):
+        list(iter_batches(["1 |label"], "tx", cat, timestamps="explicit"))
     with pytest.raises(ParseError):
         list(iter_batches(["1 a"], "tx", cat, timestamps="sometimes"))
 

@@ -43,14 +43,20 @@ def test_plain_itemset_canonical():
 
 
 def test_itemset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError, match="must be a tuple"):
+        PlainItemset([A, B])
+    with pytest.raises(ValueError, match="non-empty"):
         PlainItemset(())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
         PlainItemset((B, A))  # not sorted
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        PlainItemset((A, C, B))  # decreasing past the first pair
+    with pytest.raises(ValueError, match="strictly increasing"):
         PlainItemset((A, A))  # duplicate
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="non-negative"):
         PlainItemset((-1,))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Sequence(((A,), (B, B)))  # every element is checked
 
 
 def test_weighted_itemset():
@@ -95,8 +101,6 @@ def test_sequence_memo_stays_out_of_equality_pickles_and_copies():
 def test_batch_invariants():
     with pytest.raises(ValueError):
         Batch(1.0, (plain_itemset([A]), sequence([[A]])))
-    with pytest.raises(ValueError):
-        Batch(1.0, (plain_itemset([A]),), labels=("x", "y"))
     empty = Batch(1.0, ())
     assert empty.instances == ()
 

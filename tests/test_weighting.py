@@ -298,6 +298,16 @@ def test_weighted_and_batch_overflow_are_typed():
         batch_weight(Batch(1.0, (big,) * 300), FREQ)
 
 
+def test_non_finite_item_weight_is_refused_by_the_model():
+    # an inf weight used to get as far as the util table, whose overflow
+    # error blamed the itemset's size
+    with pytest.raises(ValueError, match=r"must be finite: \(inf, 1.0\)"):
+        instance_weight(weighted_itemset({0: math.inf, 1: 1.0}), UTIL)
+    for bad in (-math.inf, math.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            WeightedItemset((0,), (bad,))
+
+
 def test_total_weight_decomposition():
     # instance weight must equal the sum of its table entries
     rng = random.Random(99)
