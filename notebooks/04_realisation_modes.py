@@ -1,4 +1,4 @@
-"""Why the engine's replacement count defaults to the inverse-CDF rule.
+"""Why the engine's replacement count is the inverse-CDF rule.
 
 When a batch is accepted, n_r reservoir slots are replaced. For each slot to
 stay an exact draw from the stream law, the per-slot replacement probability
@@ -14,16 +14,32 @@ short of it at k > 1 (all three agree at k = 1), so fresh batches replace
 fewer slots than the stream law demands and old content lingers.
 This script computes the per-slot replacement probability q per rule exactly
 on a two-batch fixture, then shows the end-to-end effect on the pooled
-reservoir distribution at k = 10.
+reservoir distribution at k = 10. The engine runs binomial-cdf; the other
+two rules come from rps.oracle and run through a small loop below.
 
-Run:  python3 notebooks/04_realisation_modes.py   (about half a minute)
+Run:  python3 notebooks/04_realisation_modes.py   (about ten seconds)
 """
 
 from collections import Counter
+from random import Random
 
-from rps import Batch, BaseMeasure, MeasureSpec, ReservoirSampler, sequence
+from rps import (
+    Batch,
+    BaseMeasure,
+    MeasureSpec,
+    ReservoirSampler,
+    batch_weight,
+    sample_from_batch,
+    sequence,
+)
 from rps.betainc import binomial_survival
-from rps.oracle import stream_law, total_variation
+from rps.oracle import (
+    draw_realisations_conditional,
+    inv_draw_realisations,
+    stream_law,
+    total_variation,
+)
+from rps.sampling import sample_distinct_indices
 
 A, B, C = 0, 1, 2
 K = 10
@@ -46,6 +62,38 @@ def q_conditional(k, p):
     return p * p / binomial_survival(1, k, p)
 
 
+def slots_after_stream(rule, seed):
+    """The K slot patterns after the fixture stream under one rule."""
+    if rule == "binomial-cdf":
+        sampler = ReservoirSampler(spec, capacity=K, seed=seed)
+        sampler.process_stream(stream)
+        return [x for _, x in sampler.snapshot()]
+    # a rule that accepts iff x < p, run the way the engine would run it:
+    # acceptance uniform, then the conditional rule's own uniform, then
+    # eviction slots (none on the first fill), then pattern draws
+    rng = Random(seed)
+    slots = []
+    mass = 0.0
+    for batch in stream:
+        w = batch_weight(batch, spec)
+        mass += w  # no damping: the normalizer is the plain sum
+        p = w / mass
+        u = rng.random()
+        if u >= p:
+            continue
+        if rule == "coupled-beta":
+            n = inv_draw_realisations(K, p, u)
+        else:
+            n = draw_realisations_conditional(K, p, rng)
+        if slots:
+            evicted = sample_distinct_indices(rng, K, n)
+            for s, x in zip(evicted, sample_from_batch(batch, spec, n, rng)):
+                slots[s] = x
+        else:
+            slots = sample_from_batch(batch, spec, n, rng)
+    return slots
+
+
 print(f"fixture: two sequence batches, p2 = 13/89 = {p2:.4f}, k = {K}")
 print()
 print("per-slot replacement probability q at the second batch (target: p2)")
@@ -59,19 +107,15 @@ runs = 10_000
 print(f"pooled distribution over all {K} slots, {runs} runs per rule,")
 print(f"total variation against the exact stream law "
       f"(noise floor here is about 0.011):")
-for mode in ("coupled-beta", "conditional-binomial", "binomial-cdf"):
+for rule in ("coupled-beta", "conditional-binomial", "binomial-cdf"):
     counts: Counter = Counter()
     for i in range(runs):
-        s = ReservoirSampler(spec, capacity=K, seed=90_000 + i, realisation_mode=mode)
-        for batch in stream:
-            s.process_batch(batch)
-        for _, x in s.snapshot():
-            counts[x] += 1
+        counts.update(slots_after_stream(rule, 90_000 + i))
     total = sum(counts.values())
     emp = {x: c / total for x, c in counts.items()}
-    print(f"  {mode:22s} tv = {total_variation(emp, want):.4f}")
+    print(f"  {rule:22s} tv = {total_variation(emp, want):.4f}")
 print()
 print("The under-replacement of the first two rules lands the slot marginal")
 print("a fixed distance from the target law no matter how many runs are")
-print("averaged, so binomial-cdf is the default; the others remain selectable")
-print("via ReservoirSampler(realisation_mode=...) for comparison.")
+print("averaged, so binomial-cdf is the engine's one rule; the other two")
+print("remain in rps.oracle for comparison.")

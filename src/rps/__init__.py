@@ -6,7 +6,7 @@ independent draw from the norm-weighted, optionally time-damped pattern
 distribution of everything seen so far.
 """
 
-from .engine import REALISATION_MODES, BatchReport, ReservoirSampler
+from .engine import BatchReport, ReservoirSampler
 from .errors import (
     ConfigurationError,
     ParseError,
@@ -15,7 +15,7 @@ from .errors import (
     StreamOrderError,
     WeightOverflowError,
 )
-from .measures import BaseMeasure, MeasureSpec, damping, format_measure, parse_measure
+from .measures import BaseMeasure, MeasureSpec, format_measure, parse_measure
 from .model import (
     Batch,
     Catalog,
@@ -47,7 +47,6 @@ __all__ = [
     "ParseError",
     "Pattern",
     "PlainItemset",
-    "REALISATION_MODES",
     "ReservoirNotReady",
     "ReservoirSampler",
     "RpsError",
@@ -56,7 +55,6 @@ __all__ = [
     "WeightOverflowError",
     "WeightedItemset",
     "batch_weight",
-    "damping",
     "draw_norm",
     "draw_pattern_of_norm",
     "format_measure",

@@ -18,7 +18,6 @@ fraction in tests.
 from __future__ import annotations
 
 import math
-from random import Random
 
 _EPS = 1e-14
 _FPMIN = 1e-300
@@ -136,24 +135,6 @@ def _largest_above(k_hi: int, trials: int, p: float, threshold: float) -> int:
     return lo
 
 
-def inv_draw_realisations(k: int, p: float, x: float) -> int:
-    """Replacement count coupled to the acceptance uniform.
-
-    Given that the batch was accepted (x < p), returns 1 plus the largest m
-    in [0 .. k-1] whose Bin(k-1, p) survival still exceeds x, i.e. the
-    inverse-CDF draw of 1 + Bin(k-1, p) reusing the acceptance uniform.
-    """
-    if k < 1:
-        raise ValueError(f"reservoir capacity must be >= 1, got {k}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"acceptance probability must be in (0, 1], got {p}")
-    if not 0.0 <= x < p:
-        raise ValueError(f"uniform {x} is not in [0, p={p})")
-    if k == 1:
-        return 1
-    return 1 + _largest_above(k - 1, k - 1, p, x)
-
-
 def realisations_from_uniform(k: int, p: float, x: float) -> int:
     """Inverse-CDF draw of Bin(k, p) from one uniform; 0 means rejection.
 
@@ -174,26 +155,3 @@ def realisations_from_uniform(k: int, p: float, x: float) -> int:
     if binomial_survival(1, k, p) < x:
         return 0
     return _largest_above(k, k, p, x)
-
-
-def draw_realisations_conditional(k: int, p: float, rng: Random) -> int:
-    """Fresh draw of Bin(k, p) conditioned on being >= 1.
-
-    Uses a uniform from rng to invert the conditional survival
-    P(N >= m | N >= 1) = S(m) / S(1); intended for use after an acceptance
-    test has already fired with probability p.
-    """
-    if k < 1:
-        raise ValueError(f"reservoir capacity must be >= 1, got {k}")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"acceptance probability must be in (0, 1], got {p}")
-    s1 = binomial_survival(1, k, p)
-    target = rng.random() * s1
-    lo, hi = 1, k
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if binomial_survival(mid, k, p) >= target:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo

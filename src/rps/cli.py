@@ -12,8 +12,8 @@ import sys
 import time
 from typing import Iterator, TextIO
 
-from .engine import REALISATION_MODES, ReservoirSampler
-from .errors import ConfigurationError, ParseError, RpsError
+from .engine import ReservoirSampler
+from .errors import ConfigurationError, RpsError
 from .formats import (
     FINAL_HEADER,
     FORMATS,
@@ -30,7 +30,12 @@ from .model import Batch, Catalog, matches
 
 def _default_seed() -> int:
     env = os.environ.get("RPS_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigurationError(f"RPS_SEED must be an integer, got {env!r}") from None
 
 
 def _add_stream_args(p: argparse.ArgumentParser) -> None:
@@ -60,12 +65,6 @@ def _add_sampler_args(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="RNG seed (default: RPS_SEED env var, else 0)",
-    )
-    p.add_argument(
-        "--realisation-mode",
-        default="binomial-cdf",
-        choices=REALISATION_MODES,
-        help=argparse.SUPPRESS,
     )
 
 
@@ -136,7 +135,6 @@ def _make_sampler(args: argparse.Namespace, damping: float | None = None) -> Res
         capacity=args.reservoir_size,
         damping=args.damping if damping is None else damping,
         seed=seed,
-        realisation_mode=args.realisation_mode,
     )
 
 
@@ -145,6 +143,10 @@ def _batches(args: argparse.Namespace, catalog: Catalog, fh: TextIO) -> Iterator
 
 
 def _run_sample(args: argparse.Namespace) -> int:
+    if args.snapshot_every < 0:
+        raise ConfigurationError(
+            f"--snapshot-every must be >= 0, got {args.snapshot_every}"
+        )
     catalog = Catalog()
     sampler = _make_sampler(args)
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
@@ -166,7 +168,6 @@ def _run_sample(args: argparse.Namespace) -> int:
             "max_norm": sampler.spec.max_norm,
             "damping": sampler.damping,
             "capacity": sampler.capacity,
-            "realisation_mode": sampler.realisation_mode,
             "batches_seen": sampler.batches_seen,
             "batches_accepted": sampler.batches_accepted,
             "insertions": sampler.insertions,
@@ -208,20 +209,27 @@ def _run_featurize(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
+    if args.repeats < 1:
+        raise ConfigurationError(f"--repeats must be >= 1, got {args.repeats}")
+    grid = [args.damping]
+    if args.damping_grid is not None:
+        try:
+            grid = [float(tok) for tok in args.damping_grid.split(",") if tok.strip()]
+        except ValueError:
+            grid = []
+        if not grid:
+            raise ConfigurationError(
+                f"--damping-grid takes comma-separated numbers, got {args.damping_grid!r}"
+            )
     catalog = Catalog()
     with _open_in(args.input) as fh:
         stream = list(_batches(args, catalog, fh))
     if not stream:
         raise ConfigurationError("empty stream, nothing to measure")
-    if args.damping_grid is not None:
-        grid = [float(tok) for tok in args.damping_grid.split(",") if tok.strip()]
-    else:
-        grid = [args.damping]
     rows = []
     for gamma in grid:
         times = []
-        sampler = None
-        for _ in range(max(1, args.repeats)):
+        for _ in range(args.repeats):
             sampler = _make_sampler(args, damping=gamma)
             start = time.perf_counter()
             for batch in stream:
@@ -259,7 +267,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigurationError as exc:
         print(f"rps: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, RpsError, OSError) as exc:
+    except (RpsError, OSError) as exc:
         print(f"rps: {exc}", file=sys.stderr)
         return 1
 

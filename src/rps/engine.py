@@ -14,22 +14,15 @@ The running normalizer is kept rescaled to the last mass-bearing timestamp:
 which equals the ratio of the batch's damped weight to the damped total
 without ever exponentiating a growing timestamp.
 
-Replacement count modes ("realisation modes"), selectable per sampler:
+The replacement count is the inverse Bin(k, p) CDF at the acceptance
+uniform, and the batch is accepted iff n_r >= 1.  Each slot is then replaced
+with probability exactly p, which keeps every slot an exact draw from the
+stream law.  (Rules that accept iff x < p and draw n_r >= 1 afterwards fall
+short of p at k > 1; rps.oracle keeps them for comparison.)
 
-  binomial-cdf (default)  n_r = inverse Bin(k, p) CDF at the acceptance
-                          uniform; accept iff n_r >= 1.  Per-slot
-                          replacement probability is exactly p, which is the
-                          mode that makes the k-slot marginal match the
-                          stream law.
-  coupled-beta            accept iff x < p, then n_r = 1 + inverse
-                          Bin(k-1, p) CDF at x (the same uniform).
-  conditional-binomial    accept iff x < p, then n_r ~ Bin(k, p) | >= 1
-                          from a fresh uniform.
-
-All modes coincide at capacity 1.  Randomness comes from one seeded
-generator, consumed in a fixed order per batch: acceptance uniform, then the
-conditional mode's extra uniform, then eviction slots, then pattern draws;
-the first acceptance fills the empty reservoir without eviction draws.
+Randomness comes from one seeded generator, consumed in a fixed order per
+batch: acceptance uniform, then eviction slots, then pattern draws; the
+first acceptance fills the empty reservoir without eviction draws.
 """
 
 from __future__ import annotations
@@ -49,8 +42,6 @@ from .measures import MeasureSpec
 from .model import Batch, Instance, Pattern, matches
 from .sampling import sample_distinct_indices, sample_from_batch
 from .weighting import batch_weight
-
-REALISATION_MODES = ("binomial-cdf", "coupled-beta", "conditional-binomial")
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,21 +63,14 @@ class ReservoirSampler:
         capacity: int,
         damping: float = 0.0,
         seed: int | None = 0,
-        realisation_mode: str = "binomial-cdf",
     ):
         if capacity < 1:
             raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
         if not 0.0 <= damping <= 1.0:
             raise ConfigurationError(f"damping must be in [0, 1], got {damping!r}")
-        if realisation_mode not in REALISATION_MODES:
-            raise ConfigurationError(
-                f"unknown realisation mode {realisation_mode!r}; "
-                f"pick one of {', '.join(REALISATION_MODES)}"
-            )
         self.spec = spec
         self.capacity = capacity
         self.damping = damping
-        self.realisation_mode = realisation_mode
         self.rng = Random(seed)
         self._entries: list[tuple[float, Pattern]] = []
         self._scaled_mass = 0.0
@@ -160,18 +144,8 @@ class ReservoirSampler:
         p = w / scaled_mass  # exactly 1.0 on the first mass
 
         k = self.capacity
-        x = self.rng.random()
-        if self.realisation_mode == "binomial-cdf":
-            n = betainc.realisations_from_uniform(k, p, x)
-            accepted = n >= 1
-        elif self.realisation_mode == "coupled-beta":
-            accepted = x < p
-            n = betainc.inv_draw_realisations(k, p, x) if accepted else 0
-        else:  # conditional-binomial
-            accepted = x < p
-            n = betainc.draw_realisations_conditional(k, p, self.rng) if accepted else 0
-
-        if not accepted:
+        n = betainc.realisations_from_uniform(k, p, self.rng.random())
+        if n < 1:
             return BatchReport(t, w, p, False, 0, ())
         self.batches_accepted += 1
 
@@ -182,7 +156,7 @@ class ReservoirSampler:
                 self._entries[s] = (t, pat)
             evicted = tuple(slots)
         else:
-            # first acceptance has p == 1 and n == k in every mode
+            # first acceptance has p == 1 and n == k
             patterns = sample_from_batch(batch, self.spec, n, self.rng)
             self._entries = [(t, pat) for pat in patterns]
             evicted = tuple(range(n))

@@ -1,4 +1,4 @@
-"""Interestingness measures over pattern norms, plus temporal damping.
+"""Interestingness measures over pattern norms.
 
 A measure is a base family (freq, area, decay(alpha), util, avgutil) combined
 with an inclusive norm band [min_norm .. max_norm].  The norm factor f(ell)
@@ -9,7 +9,6 @@ the util families enter through the instance, not here.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
@@ -106,16 +105,3 @@ def format_measure(spec: MeasureSpec) -> str:
     if spec.base is BaseMeasure.DECAY:
         return f"decay:{spec.alpha:g}"
     return spec.base.value
-
-
-def damping(gamma: float, t_now: float, t_then: float) -> float:
-    """Exponential decay factor e^{-gamma (t_now - t_then)}.
-
-    gamma = 0 is the landmark window (factor 1); t_then in the future of
-    t_now is a caller bug.
-    """
-    if not 0.0 <= gamma <= 1.0:
-        raise ConfigurationError(f"damping factor must be in [0, 1], got {gamma!r}")
-    if t_then > t_now:
-        raise ValueError(f"t_then {t_then} is after t_now {t_now}")
-    return math.exp(-gamma * (t_now - t_then))

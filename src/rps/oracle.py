@@ -5,15 +5,24 @@ first principles (containment, summed item weights, norm factor, damping).
 It shares no code path with the closed-form tables or the staged draws, so
 tests can compare the two routes; the enumeration guard keeps it honest
 about scale.
+
+It also keeps the two replacement-count rules the engine rejected, both of
+which accept iff x < p and then draw n_r >= 1: they replace a slot with
+probability below p at k > 1 (notebooks/04_realisation_modes.py measures by
+how much), so they serve only as comparisons against
+betainc.realisations_from_uniform.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+from random import Random
 from typing import Iterable, Mapping, Sequence as SequenceOf
 
-from .measures import MeasureSpec, damping
+from .betainc import _largest_above, binomial_survival
+from .errors import ConfigurationError
+from .measures import MeasureSpec
 from .model import (
     Batch,
     Instance,
@@ -78,6 +87,19 @@ def pattern_measure(x: Pattern, z: Instance, spec: MeasureSpec) -> float:
 
 def batch_measure(x: Pattern, batch: Batch, spec: MeasureSpec) -> float:
     return math.fsum(pattern_measure(x, z, spec) for z in batch.instances)
+
+
+def damping(gamma: float, t_now: float, t_then: float) -> float:
+    """Exponential decay factor e^{-gamma (t_now - t_then)}.
+
+    gamma = 0 is the landmark window (factor 1); t_then in the future of
+    t_now is a caller bug.
+    """
+    if not 0.0 <= gamma <= 1.0:
+        raise ConfigurationError(f"damping factor must be in [0, 1], got {gamma!r}")
+    if t_then > t_now:
+        raise ValueError(f"t_then {t_then} is after t_now {t_now}")
+    return math.exp(-gamma * (t_now - t_then))
 
 
 def global_utility(
@@ -152,3 +174,44 @@ def total_variation(
 ) -> float:
     keys = set(a) | set(b)
     return 0.5 * math.fsum(abs(a.get(x, 0.0) - b.get(x, 0.0)) for x in keys)
+
+
+def inv_draw_realisations(k: int, p: float, x: float) -> int:
+    """Replacement count coupled to the acceptance uniform.
+
+    Given that the batch was accepted (x < p), returns 1 plus the largest m
+    in [0 .. k-1] whose Bin(k-1, p) survival still exceeds x, i.e. the
+    inverse-CDF draw of 1 + Bin(k-1, p) reusing the acceptance uniform.
+    """
+    if k < 1:
+        raise ValueError(f"reservoir capacity must be >= 1, got {k}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"acceptance probability must be in (0, 1], got {p}")
+    if not 0.0 <= x < p:
+        raise ValueError(f"uniform {x} is not in [0, p={p})")
+    if k == 1:
+        return 1
+    return 1 + _largest_above(k - 1, k - 1, p, x)
+
+
+def draw_realisations_conditional(k: int, p: float, rng: Random) -> int:
+    """Fresh draw of Bin(k, p) conditioned on being >= 1.
+
+    Uses a uniform from rng to invert the conditional survival
+    P(N >= m | N >= 1) = S(m) / S(1); intended for use after an acceptance
+    test has already fired with probability p.
+    """
+    if k < 1:
+        raise ValueError(f"reservoir capacity must be >= 1, got {k}")
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"acceptance probability must be in (0, 1], got {p}")
+    s1 = binomial_survival(1, k, p)
+    target = rng.random() * s1
+    lo, hi = 1, k
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if binomial_survival(mid, k, p) >= target:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo

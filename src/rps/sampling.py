@@ -63,15 +63,6 @@ def _pick_cumulative(cum: list[float], total: float, rng: Random) -> int:
     return bisect_right(cum, rng.random() * total)
 
 
-def draw_instance(weights: list[float], rng: Random) -> int:
-    """Index draw proportional to non-negative weights."""
-    cum = list(accumulate(weights))
-    total = cum[-1] if cum else 0.0
-    if total <= 0:
-        raise ValueError("no positive weight to draw from")
-    return _pick_cumulative(cum, total, rng)
-
-
 def draw_norm(table: NormWeightTable, rng: Random) -> int:
     """Norm draw proportional to the table weights."""
     if not table.norms:

@@ -11,8 +11,6 @@ from rps.betainc import (
     _largest_above,
     binomial_survival,
     binomial_survival_direct,
-    draw_realisations_conditional,
-    inv_draw_realisations,
     realisations_from_uniform,
     reg_inc_beta,
 )
@@ -88,25 +86,6 @@ def test_binomial_survival_edges():
     )
 
 
-def test_inv_draw_realisations_fixture():
-    # k=2, p=0.6, x=0.5: P(Bin(1, 0.6) >= 1) = 0.6 >= 0.5, so both slots
-    assert inv_draw_realisations(2, 0.6, 0.5) == 2
-    assert inv_draw_realisations(2, 0.6, 0.59) == 2
-    assert inv_draw_realisations(1, 0.42, 0.1) == 1
-    assert inv_draw_realisations(3, 1.0, 0.999) == 3
-
-
-def test_inv_draw_realisations_domain():
-    with pytest.raises(ValueError):
-        inv_draw_realisations(0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        inv_draw_realisations(2, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        inv_draw_realisations(2, 0.5, 0.5)  # x must be below p
-    with pytest.raises(ValueError):
-        inv_draw_realisations(2, 0.5, -0.1)
-
-
 def test_realisations_from_uniform_is_exact_binomial():
     # the draw inverts the survival function: over x in [0, 1) the count m
     # occupies an interval of exactly P(Bin(k, p) = m)
@@ -158,21 +137,3 @@ def test_realisations_from_uniform_mean():
     grid = 200_000
     total = sum(realisations_from_uniform(k, p, (i + 0.5) / grid) for i in range(grid))
     assert total / grid == pytest.approx(k * p, abs=2e-4)
-
-
-def test_conditional_draw_law():
-    k, p = 6, 0.4
-    rng = random.Random(7)
-    n = 100_000
-    counts = [0] * (k + 1)
-    for _ in range(n):
-        counts[draw_realisations_conditional(k, p, rng)] += 1
-    assert counts[0] == 0
-    s1 = binomial_survival(1, k, p)
-    for m in range(1, k + 1):
-        pm = (binomial_survival(m, k, p) - binomial_survival(m + 1, k, p)) / s1
-        assert counts[m] / n == pytest.approx(pm, abs=0.01)
-    with pytest.raises(ValueError):
-        draw_realisations_conditional(0, 0.4, rng)
-    with pytest.raises(ValueError):
-        draw_realisations_conditional(3, 0.0, rng)

@@ -106,6 +106,7 @@ def test_sample_json_summary(tx_file, tmp_path):
     assert len(summary["entries"]) == 8
     for entry in summary["entries"]:
         assert set(entry) == {"norm", "pattern", "timestamp"}
+    assert "realisation_mode" not in summary
 
 
 def test_sample_snapshot_every(tx_file, tmp_path):
@@ -285,3 +286,39 @@ def test_wtx_weight_overflow_exits_1_with_one_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("rps: line 2: ") and "exceeds the largest float" in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, seed_env, message",
+    [
+        ("bench", ["--damping-grid", "a,b"], None, "--damping-grid takes"),
+        ("bench", ["--damping-grid", ","], None, "--damping-grid takes"),
+        ("bench", ["--repeats", "0"], None, "--repeats must be >= 1, got 0"),
+        ("sample", ["--snapshot-every", "-1"], None, "--snapshot-every must be >= 0"),
+        ("sample", [], "abc", "RPS_SEED must be an integer, got 'abc'"),
+    ],
+    ids=["damping-grid", "empty-damping-grid", "repeats", "snapshot-every", "RPS_SEED"],
+)
+def test_bad_number_exits_2_with_one_line(
+    tx_file, tmp_path, capsys, monkeypatch, command, extra, seed_env, message
+):
+    if seed_env is not None:
+        monkeypatch.setenv("RPS_SEED", seed_env)
+    out = tmp_path / "out.tsv"
+    code = main([
+        command, "--input", str(tx_file), "--format", "tx",
+        *(["--output", str(out)] if command == "sample" else []), *extra,
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("rps: ") and message in err
+    assert not out.exists()
+
+
+def test_realisation_mode_flag_is_gone(tx_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(_sample_args(tx_file, tmp_path / "snap.tsv",
+                          ["--realisation-mode", "binomial-cdf"]))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --realisation-mode" in capsys.readouterr().err

@@ -1,11 +1,11 @@
-"""Reservoir engine: acceptance probabilities, eviction, determinism, modes."""
+"""Reservoir engine: acceptance probabilities, eviction, determinism."""
 
 import math
 import random
 
 import pytest
 
-from rps.engine import REALISATION_MODES, ReservoirSampler
+from rps.engine import ReservoirSampler
 from rps.errors import (
     ConfigurationError,
     ReservoirNotReady,
@@ -35,8 +35,9 @@ def test_init_validation():
         ReservoirSampler(FREQ, capacity=0)
     with pytest.raises(ConfigurationError):
         ReservoirSampler(FREQ, capacity=3, damping=1.5)
-    with pytest.raises(ConfigurationError):
-        ReservoirSampler(FREQ, capacity=3, realisation_mode="other")
+    # one replacement rule, nothing to select
+    with pytest.raises(TypeError):
+        ReservoirSampler(FREQ, 3, realisation_mode="binomial-cdf")
 
 
 def test_first_batch_fills_reservoir():
@@ -163,26 +164,14 @@ def test_same_seed_same_snapshot():
     assert run(123) != run(124)
 
 
-def test_k1_modes_agree_on_same_seed():
-    # at capacity 1 the modes define the same acceptance region and count
-    stream = _plain_batches([3, 1, 5, 2, 4, 1, 1, 6])
-    snaps = []
-    for mode in ("binomial-cdf", "coupled-beta"):
-        s = ReservoirSampler(FREQ, capacity=1, seed=7, realisation_mode=mode)
-        s.process_stream(stream)
-        snaps.append(s.snapshot())
-    assert snaps[0] == snaps[1]
-
-
 def test_all_modes_fill_and_replace():
     stream = _plain_batches([3, 1, 5, 2, 4, 1, 1, 6])
-    for mode in REALISATION_MODES:
-        s = ReservoirSampler(FREQ, capacity=5, seed=11, realisation_mode=mode)
-        reports = s.process_stream(stream)
-        assert reports[0].realisations == 5
-        assert s.reservoir_full
-        for r in reports:
-            assert 0 <= r.realisations <= 5
+    s = ReservoirSampler(FREQ, capacity=5, seed=11)
+    reports = s.process_stream(stream)
+    assert reports[0].realisations == 5
+    assert s.reservoir_full
+    for r in reports:
+        assert 0 <= r.realisations <= 5
 
 
 def test_feature_vector():

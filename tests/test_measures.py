@@ -1,6 +1,4 @@
-"""Measure grammar, norm factors, damping."""
-
-import math
+"""Measure grammar, norm factors."""
 
 import pytest
 
@@ -8,7 +6,6 @@ from rps.errors import ConfigurationError
 from rps.measures import (
     BaseMeasure,
     MeasureSpec,
-    damping,
     format_measure,
     parse_measure,
 )
@@ -80,15 +77,3 @@ def test_variant_support():
         spec = parse_measure(text)
         assert spec.supports(weighted)
         assert not spec.supports(plain) and not spec.supports(seq)
-
-
-def test_damping():
-    assert damping(0.0, 10.0, 3.0) == 1.0
-    assert damping(0.1, 2.0, 1.0) == pytest.approx(math.exp(-0.1), rel=1e-15)
-    assert damping(1.0, 5.0, 5.0) == 1.0
-    with pytest.raises(ValueError):
-        damping(0.1, 1.0, 2.0)  # t_then after t_now
-    with pytest.raises(ConfigurationError):
-        damping(-0.1, 2.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        damping(1.1, 2.0, 1.0)

@@ -1,10 +1,14 @@
-"""The enumeration oracle itself: counts, utilities, laws, fixture values."""
+"""The enumeration oracle itself: counts, utilities, laws, fixture values,
+and the replacement-count rules kept for comparison."""
 
 import math
+import random
 
 import pytest
 
-from rps import oracle
+from rps import betainc, oracle
+from rps.betainc import binomial_survival
+from rps.errors import ConfigurationError
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import (
     Batch,
@@ -122,3 +126,69 @@ def test_total_variation_and_frequencies():
         oracle.frequencies([])
     with pytest.raises(ValueError):
         oracle.batch_law(Batch(1.0, ()), FREQ)
+
+
+def test_damping():
+    assert oracle.damping(0.0, 10.0, 3.0) == 1.0
+    assert oracle.damping(0.1, 2.0, 1.0) == pytest.approx(math.exp(-0.1), rel=1e-15)
+    assert oracle.damping(1.0, 5.0, 5.0) == 1.0
+    with pytest.raises(ValueError):
+        oracle.damping(0.1, 1.0, 2.0)  # t_then after t_now
+    with pytest.raises(ConfigurationError):
+        oracle.damping(-0.1, 2.0, 1.0)
+    with pytest.raises(ConfigurationError):
+        oracle.damping(1.1, 2.0, 1.0)
+
+
+def test_inv_draw_realisations_fixture():
+    # k=2, p=0.6, x=0.5: P(Bin(1, 0.6) >= 1) = 0.6 >= 0.5, so both slots
+    assert oracle.inv_draw_realisations(2, 0.6, 0.5) == 2
+    assert oracle.inv_draw_realisations(2, 0.6, 0.59) == 2
+    assert oracle.inv_draw_realisations(1, 0.42, 0.1) == 1
+    assert oracle.inv_draw_realisations(3, 1.0, 0.999) == 3
+
+
+def test_inv_draw_realisations_domain():
+    with pytest.raises(ValueError):
+        oracle.inv_draw_realisations(0, 0.5, 0.1)
+    with pytest.raises(ValueError):
+        oracle.inv_draw_realisations(2, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        oracle.inv_draw_realisations(2, 0.5, 0.5)  # x must be below p
+    with pytest.raises(ValueError):
+        oracle.inv_draw_realisations(2, 0.5, -0.1)
+
+
+def test_conditional_draw_law():
+    k, p = 6, 0.4
+    rng = random.Random(7)
+    n = 100_000
+    counts = [0] * (k + 1)
+    for _ in range(n):
+        counts[oracle.draw_realisations_conditional(k, p, rng)] += 1
+    assert counts[0] == 0
+    s1 = binomial_survival(1, k, p)
+    for m in range(1, k + 1):
+        pm = (binomial_survival(m, k, p) - binomial_survival(m + 1, k, p)) / s1
+        assert counts[m] / n == pytest.approx(pm, abs=0.01)
+    with pytest.raises(ValueError):
+        oracle.draw_realisations_conditional(0, 0.4, rng)
+    with pytest.raises(ValueError):
+        oracle.draw_realisations_conditional(3, 0.0, rng)
+
+
+def test_rejected_rules_agree_with_the_engine_rule_at_k1():
+    # at capacity 1 every rule replaces the one slot when x < p and the
+    # engine's rule rejects past p, so all rules give the same reservoir
+    for p in (0.05, 0.3, 13 / 89, 0.73, 1.0):
+        for i in range(50):
+            x = p * i / 50
+            assert (
+                oracle.inv_draw_realisations(1, p, x)
+                == betainc.realisations_from_uniform(1, p, x)
+                == 1
+            )
+            assert oracle.draw_realisations_conditional(1, p, random.Random(i)) == 1
+            above = p + (1.0 - p) * (i + 1) / 51
+            if above < 1.0:
+                assert betainc.realisations_from_uniform(1, p, above) == 0

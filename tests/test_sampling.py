@@ -10,7 +10,6 @@ from rps import oracle
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import Batch, Pattern, plain_itemset, sequence, weighted_itemset
 from rps.sampling import (
-    draw_instance,
     draw_norm,
     draw_pattern_of_norm,
     sample_distinct_indices,
@@ -47,18 +46,6 @@ def test_sample_distinct_indices_uniform():
     assert len(counts) == 6
     for pair, c in counts.items():
         assert c / 30_000 == pytest.approx(1 / 6, abs=0.01), pair
-
-
-def test_draw_instance_proportional():
-    rng = random.Random(3)
-    counts = Counter(draw_instance([1.0, 0.0, 3.0], rng) for _ in range(40_000))
-    assert counts[1] == 0
-    assert counts[0] / 40_000 == pytest.approx(0.25, abs=0.01)
-    assert counts[2] / 40_000 == pytest.approx(0.75, abs=0.01)
-    with pytest.raises(ValueError):
-        draw_instance([0.0, 0.0], rng)
-    with pytest.raises(ValueError):
-        draw_instance([], rng)
 
 
 def test_draw_norm_follows_table():
@@ -138,6 +125,13 @@ def test_sample_from_batch_zero_mass():
         sample_from_batch(Batch(1.0, (plain_itemset([A, B]),)), spec, 1, rng)
     with pytest.raises(ValueError):
         sample_from_batch(Batch(1.0, ()), FREQ, 1, rng)
+    # under min_norm=2 the {C} between two 2-item instances has no mass
+    # and is never picked; the two others are picked half the time each
+    pairs = MeasureSpec(BaseMeasure.FREQ, min_norm=2)
+    batch = Batch(1.0, tuple(plain_itemset(z) for z in ([A, B], [C], [A, C])))
+    counts = Counter(sample_from_batch(batch, pairs, 40_000, rng))
+    assert set(counts) == {Pattern(((A, B),)), Pattern(((A, C),))}
+    assert counts[Pattern(((A, B),))] / 40_000 == pytest.approx(0.5, abs=0.01)
 
 
 def test_draws_are_seed_deterministic():
