@@ -18,7 +18,7 @@ from rps.sampling import (
 from rps.weighting import weight_table
 
 import streamgen
-from conftest import A, B, C
+from conftest import A, B, C, D
 
 FREQ = MeasureSpec(BaseMeasure.FREQ)
 UTIL = MeasureSpec(BaseMeasure.UTIL)
@@ -46,6 +46,19 @@ def test_sample_distinct_indices_uniform():
     assert len(counts) == 6
     for pair, c in counts.items():
         assert c / 30_000 == pytest.approx(1 / 6, abs=0.01), pair
+
+
+def test_draw_instance_proportional():
+    # under min_norm=2, {A,B} has mass 1, {C} none and {A,C,D} mass 4;
+    # no pattern is shared between them, so each draw names its instance
+    rng = random.Random(3)
+    pairs = MeasureSpec(BaseMeasure.FREQ, min_norm=2)
+    batch = Batch(1.0, tuple(plain_itemset(z) for z in ([A, B], [C], [A, C, D])))
+    counts = Counter(sample_from_batch(batch, pairs, 40_000, rng))
+    acd = {Pattern((z,)) for z in ((A, C), (A, D), (C, D), (A, C, D))}
+    assert set(counts) == acd | {Pattern(((A, B),))}
+    assert counts[Pattern(((A, B),))] / 40_000 == pytest.approx(0.2, abs=0.01)
+    assert sum(counts[q] for q in acd) / 40_000 == pytest.approx(0.8, abs=0.01)
 
 
 def test_draw_norm_follows_table():
@@ -125,13 +138,6 @@ def test_sample_from_batch_zero_mass():
         sample_from_batch(Batch(1.0, (plain_itemset([A, B]),)), spec, 1, rng)
     with pytest.raises(ValueError):
         sample_from_batch(Batch(1.0, ()), FREQ, 1, rng)
-    # under min_norm=2 the {C} between two 2-item instances has no mass
-    # and is never picked; the two others are picked half the time each
-    pairs = MeasureSpec(BaseMeasure.FREQ, min_norm=2)
-    batch = Batch(1.0, tuple(plain_itemset(z) for z in ([A, B], [C], [A, C])))
-    counts = Counter(sample_from_batch(batch, pairs, 40_000, rng))
-    assert set(counts) == {Pattern(((A, B),)), Pattern(((A, C),))}
-    assert counts[Pattern(((A, B),))] / 40_000 == pytest.approx(0.5, abs=0.01)
 
 
 def test_draws_are_seed_deterministic():
