@@ -149,18 +149,18 @@ def _run_sample(args: argparse.Namespace) -> int:
         )
     catalog = Catalog()
     sampler = _make_sampler(args)
-    with _open_in(args.input) as fin, _open_out(args.output) as fout:
-        for batch in _batches(args, catalog, fin):
-            sampler.process_batch(batch)
-            if args.snapshot_every and sampler.batches_seen % args.snapshot_every == 0:
-                write_snapshot(
-                    fout,
-                    sampler.snapshot(),
-                    catalog,
-                    header=f"after batch {sampler.batches_seen} t {batch.timestamp:g}",
-                )
-        header = f"{FINAL_HEADER} {sampler.batches_seen}" if args.snapshot_every else None
-        write_snapshot(fout, sampler.snapshot(), catalog, header=header)
+    # the batch arguments are checked before the output is opened
+    with _open_in(args.input) as fin:
+        batches = _batches(args, catalog, fin)
+        with _open_out(args.output) as fout:
+            for batch in batches:
+                sampler.process_batch(batch)
+                seen = sampler.batches_seen
+                if args.snapshot_every and seen % args.snapshot_every == 0:
+                    header = f"after batch {seen} t {batch.timestamp:g}"
+                    write_snapshot(fout, sampler.snapshot(), catalog, header=header)
+            header = f"{FINAL_HEADER} {sampler.batches_seen}" if args.snapshot_every else None
+            write_snapshot(fout, sampler.snapshot(), catalog, header=header)
     if args.json:
         summary = {
             "measure": format_measure(sampler.spec),

@@ -56,6 +56,11 @@ class BatchReport:
     evicted: tuple[int, ...]
 
 
+# the first accepted batch draws every slot at once, so a capacity past what
+# memory holds would run until killed; refuse it up front instead
+MAX_CAPACITY = 10**7
+
+
 class ReservoirSampler:
     def __init__(
         self,
@@ -64,8 +69,10 @@ class ReservoirSampler:
         damping: float = 0.0,
         seed: int | None = 0,
     ):
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+        if not 1 <= capacity <= MAX_CAPACITY:
+            raise ConfigurationError(
+                f"capacity must be in [1, {MAX_CAPACITY}], got {capacity}"
+            )
         if not 0.0 <= damping <= 1.0:
             raise ConfigurationError(f"damping must be in [0, 1], got {damping!r}")
         self.spec = spec
@@ -108,17 +115,13 @@ class ReservoirSampler:
                 f"batch timestamp {t} is not after {self._t_seen}"
             )
         variant = type(batch.instances[0]) if batch.instances else self._variant
-        if batch.instances and not self.spec.supports(batch.instances[0]):
-            raise ConfigurationError(
-                f"measure {self.spec.base.value} is not defined for "
-                f"{variant.__name__} streams"
-            )
         if self._variant is not None and variant is not self._variant:
             # the patterns of two variants would mix in one reservoir
             raise ConfigurationError(
                 f"a {variant.__name__} batch in a stream of "
                 f"{self._variant.__name__} instances"
             )
+        # raises ConfigurationError if the measure does not fit the variant
         w = batch_weight(batch, self.spec)
         if w > 0.0:
             if self._t_mass is None:

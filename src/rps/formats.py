@@ -28,7 +28,7 @@ import math
 import re
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .errors import ParseError
+from .errors import ConfigurationError, ParseError
 from .model import (
     Batch,
     Catalog,
@@ -262,21 +262,27 @@ def iter_batches(
     consecutive lines with equal timestamps form one batch; batch_size is
     ignored and timestamps must not decrease.
 
-    Labels are not kept; read_instances gives them.
+    Labels are not kept; read_instances gives them.  A bad batch size or
+    timestamp mode raises ConfigurationError from the call, before any line
+    is read.
     """
     if timestamps == "explicit":
-        yield from _iter_batches_explicit(lines, fmt, catalog)
-        return
+        return _iter_batches_explicit(lines, fmt, catalog)
     if timestamps != "ordinal":
-        raise ParseError(f"unknown timestamp mode {timestamps!r}")
+        raise ConfigurationError(f"unknown timestamp mode {timestamps!r}")
     if isinstance(batch_size, str) and batch_size != "marker":
         try:
             batch_size = int(batch_size)
         except ValueError:
-            raise ParseError(f"bad batch size {batch_size!r}") from None
+            raise ConfigurationError(f"bad batch size {batch_size!r}") from None
     if isinstance(batch_size, int) and batch_size < 1:
-        raise ParseError(f"batch size must be >= 1, got {batch_size}")
+        raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
+    return _iter_batches_ordinal(lines, fmt, catalog, batch_size)
 
+
+def _iter_batches_ordinal(
+    lines: Iterable[str], fmt: str, catalog: Catalog, batch_size: int | str
+) -> Iterator[Batch]:
     t = 0.0
     pending: list[Instance] = []
     for _, z, _ in read_instances(lines, fmt, catalog):

@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .model import Instance, WeightedItemset
+from .model import WeightedItemset
 
 
 class BaseMeasure(enum.Enum):
@@ -70,11 +70,11 @@ class MeasureSpec:
             return instance_norm
         return min(self.max_norm, instance_norm)
 
-    def supports(self, z: Instance) -> bool:
-        """Whether this measure is defined for the instance's variant:
+    def supports(self, variant: type) -> bool:
+        """Whether this measure is defined for an instance variant:
         util/avgutil go with weighted itemsets, the rest with plain
         itemsets and sequences."""
-        if isinstance(z, WeightedItemset):
+        if issubclass(variant, WeightedItemset):
             return self.base in _WEIGHTED_BASES
         return self.base in _ITEMSET_BASES
 

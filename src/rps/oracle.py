@@ -69,6 +69,16 @@ def _enumerate_sequence(elements: tuple[Items, ...], cap: int) -> set[Pattern]:
     return found
 
 
+def admissible_blocks(base: Items, gaps: Iterable[Items], q: int) -> list[Items]:
+    """The q-subsets of base that lie in no gap, in lexicographic order: the
+    blocks whose first fit is base's position when gaps are the itemsets
+    between the previous block and base."""
+    gap_sets = [frozenset(g) for g in gaps]
+    return [
+        c for c in combinations(base, q) if not any(g.issuperset(c) for g in gap_sets)
+    ]
+
+
 def pattern_utility(x: Pattern, z: Instance) -> float:
     """u(x, z): 1/0 containment, except weighted itemsets where a contained
     pattern scores the sum of its item weights."""

@@ -6,13 +6,15 @@ norm from that instance's table, then pick a pattern uniformly by measure
 mass among the instance's patterns of that norm.  The staged draw follows
 the exact batch law m(x, B) / w(B) without enumerating patterns.
 
+A sequence pattern is drawn block by block, each block as one uniform rank
+among its admissible blocks, unranked exactly by SequenceCounts.block.
+
 All randomness comes from the caller's random.Random, consumed in the fixed
 order instance, norm, pattern; replaying a seed replays the draws.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from itertools import accumulate
 from random import Random
@@ -27,18 +29,7 @@ from .model import (
     Sequence,
     WeightedItemset,
 )
-from .weighting import (
-    AdmissibleBlocks,
-    NormWeightTable,
-    instance_weight,
-    sequence_counts,
-    weight_table,
-)
-
-# admissible-subset draws: enumerate when the block's subset space is at most
-# this big, otherwise rejection-sample
-_ENUM_LIMIT = 1024
-_REJECT_CAP = 1_000_000
+from .weighting import NormWeightTable, instance_weight, sequence_counts, weight_table
 
 
 def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
@@ -55,12 +46,6 @@ def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
         out.append(swap.get(j, j))
         swap[j] = swap.get(i, i)
     return out
-
-
-def _pick_cumulative(cum: list[float], total: float, rng: Random) -> int:
-    # bisect_right skips zero-weight entries even when the point lands
-    # exactly on their repeated prefix value
-    return bisect_right(cum, rng.random() * total)
 
 
 def draw_norm(table: NormWeightTable, rng: Random) -> int:
@@ -104,30 +89,14 @@ def _draw_weighted_pattern(z: WeightedItemset, ell: int, rng: Random) -> Pattern
     return Pattern((tuple(sorted(chosen)),))
 
 
-def _draw_admissible_block(blocks: AdmissibleBlocks, q: int, rng: Random) -> Items:
-    # uniform over the admissible q-subsets; enumerate below the limit,
-    # otherwise rejection-sample (admissible sets are never rare enough at
-    # this scale to exhaust the cap, but fall back to enumeration anyway)
-    n = len(blocks.base)
-    if math.comb(n, q) <= _ENUM_LIMIT:
-        options = blocks.admissible(q)
-        return options[rng.randrange(len(options))]
-    for _ in range(_REJECT_CAP):
-        idxs = sample_distinct_indices(rng, n, q)
-        cand = tuple(sorted(blocks.base[i] for i in idxs))
-        if not blocks.covered(cand):
-            return cand
-    options = blocks.admissible(q)
-    return options[rng.randrange(len(options))]
-
-
 def _draw_sequence_pattern(
     z: Sequence, ell: int, spec: MeasureSpec, rng: Random
 ) -> Pattern:
     # walk the first-occurrence counting table: at each step pick the next
     # block position j and size q with mass (admissible blocks) x
-    # (continuations of the remaining norm), then a uniform admissible
-    # q-subset; masses are integers so rng.randrange keeps the draw exact
+    # (continuations of the remaining norm), then a uniform rank among the
+    # admissible q-blocks, unranked from the block's tally; masses and ranks
+    # are integers so rng.randrange keeps the draw exact
     counts = sequence_counts(z, spec.norm_cap(z.norm))
     if not 1 <= ell <= counts.cap or counts.count(ell) <= 0:
         raise ValueError(f"sequence has no pattern of norm {ell}")
@@ -141,7 +110,7 @@ def _draw_sequence_pattern(
             if r < mass:
                 break
             r -= mass
-        parts.append(_draw_admissible_block(counts.blocks(i, j), q, rng))
+        parts.append(counts.block(i, j, q, rng.randrange(counts.ways(i, j)[q])))
         i = j
         remaining -= q
     return Pattern(tuple(parts))
@@ -163,7 +132,9 @@ def sample_from_batch(
     tables: dict[int, NormWeightTable] = {}
     out: list[Pattern] = []
     for _ in range(count):
-        zi = _pick_cumulative(cum, total, rng)
+        # bisect_right skips zero-weight instances even when the point lands
+        # exactly on their repeated prefix value
+        zi = bisect_right(cum, rng.random() * total)
         table = tables.get(zi)
         if table is None:
             table = tables[zi] = weight_table(batch.instances[zi], spec)

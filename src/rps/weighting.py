@@ -24,6 +24,9 @@ of signed coefficients per distinct intersection set, and for a fixed j it
 grows by one gap as i moves left, so each block's count vector costs one
 fold instead of a pass over every subfamily of gaps.
 
+A drawn block is unranked from the same tally, one item at a time in
+lexicographic order, without enumerating subsets (SequenceCounts.block).
+
 Each table is cached on what it depends on.  A plain itemset's table is a
 function of (n, spec) alone, so one table serves every itemset of that size.
 A weighted itemset's table multiplies its own W into cached (n, spec) terms.
@@ -32,7 +35,8 @@ the sequence, in Sequence.memo: they are freed with it.
 
 Cost limits: counting admissible blocks is a hitting-set count, so the
 tally can still hold exponentially many sets when every gap intersection is
-distinct (gaps B - {b} for each b of a block B give every subset of B).
+distinct (gaps B - {b} for each b of a block B give every subset of B).  A
+draw of a block makes |B| passes over that same tally.
 """
 
 from __future__ import annotations
@@ -43,11 +47,11 @@ from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import ConfigurationError, WeightOverflowError
-from .measures import BaseMeasure, MeasureSpec, format_measure
+from .measures import MeasureSpec, format_measure
 from .model import (
     Batch,
     Instance,
@@ -119,6 +123,13 @@ def _table(
     return table
 
 
+def _check_supports(variant: type, spec: MeasureSpec) -> None:
+    if not spec.supports(variant):
+        raise ConfigurationError(
+            f"{spec.base.value} is not defined for {variant.__name__} instances"
+        )
+
+
 @lru_cache(maxsize=None)
 def _itemset_shape(
     variant: type, n: int, spec: MeasureSpec
@@ -128,11 +139,8 @@ def _itemset_shape(
     (ell, C(n-1, ell-1), f(ell)) terms that a weighted itemset's total W
     multiplies.  Unbounded: keys are bounded by the distinct itemset sizes
     of a stream times the few specs in use."""
+    _check_supports(variant, spec)
     if variant is WeightedItemset:
-        if spec.base not in (BaseMeasure.UTIL, BaseMeasure.AVGUTIL):
-            raise ConfigurationError(
-                f"{spec.base.value} is not defined for weighted itemsets"
-            )
         return tuple(
             (ell, math.comb(n - 1, ell - 1), spec.norm_utility(ell))
             for ell in _norm_range(spec, n)
@@ -159,8 +167,7 @@ def _sequence_table(z: Sequence, spec: MeasureSpec) -> NormWeightTable:
     # a sequence's table depends on its whole structure: kept in z.memo
     table = z.memo.get(spec)
     if table is None:
-        if spec.base in (BaseMeasure.UTIL, BaseMeasure.AVGUTIL):
-            raise ConfigurationError(f"{spec.base.value} is not defined for sequences")
+        _check_supports(Sequence, spec)
         cap = spec.norm_cap(z.norm)
         if cap < spec.min_norm:
             table = NormWeightTable.from_pairs(())
@@ -225,16 +232,6 @@ def batch_weight(batch: Batch, spec: MeasureSpec) -> float:
         ) from None
 
 
-def _maximal(sets_: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    # drop any set contained in another; keep order deterministic
-    uniq = sorted(set(sets_), key=lambda s: (-len(s), sorted(s)))
-    kept: list[frozenset[int]] = []
-    for s in uniq:
-        if not any(s <= t for t in kept):
-            kept.append(s)
-    return tuple(kept)
-
-
 # signed inclusion-exclusion coefficient per distinct intersection of gaps
 Tally = dict[frozenset[int], int]
 
@@ -274,53 +271,6 @@ def _count_ways(size: int, tally: Tally, qmax: int) -> tuple[int, ...]:
     return tuple(ways)
 
 
-class AdmissibleBlocks:
-    """q-subsets of one sequence itemset that do not occur in the gap
-    before it.
-
-    base is the itemset at the candidate position; gaps are its
-    intersections with the itemsets strictly between the previous block's
-    position and the candidate (deduplicated, maximal only).  A subset is
-    admissible iff it is not contained in any gap, i.e. the candidate
-    position is its first fit.
-    """
-
-    __slots__ = ("base", "gaps", "_ways", "_enum")
-
-    def __init__(self, base: Items, gap_itemsets: Iterable[Items]):
-        self.base = base
-        base_set = frozenset(base)
-        inters = {frozenset(g) & base_set for g in gap_itemsets}
-        inters.discard(frozenset())
-        self.gaps = _maximal(inters)
-        self._ways: tuple[int, ...] | None = None
-        self._enum: dict[int, tuple[Items, ...]] = {}
-
-    def count(self, q: int) -> int:
-        if q < 1 or q > len(self.base):
-            return 0
-        if self._ways is None:
-            tally: Tally = {}
-            for gap in self.gaps:
-                tally = _fold(tally, gap)
-            self._ways = _count_ways(len(self.base), tally, len(self.base))
-        return self._ways[q]
-
-    def covered(self, items: Iterable[int]) -> bool:
-        s = frozenset(items)
-        return any(s <= g for g in self.gaps)
-
-    def admissible(self, q: int) -> tuple[Items, ...]:
-        """All admissible q-subsets, in lexicographic order (cached)."""
-        got = self._enum.get(q)
-        if got is None:
-            got = tuple(
-                c for c in combinations(self.base, q) if not self.covered(c)
-            )
-            self._enum[q] = got
-        return got
-
-
 def _block_ways(elements: tuple[Items, ...], j: int, cap: int) -> list[tuple[int, ...]]:
     """ways(i, j) for i = -1 .. j-1, at index i + 1.
 
@@ -354,11 +304,11 @@ class SequenceCounts:
 
     with continuation(j, 0) = 1.  Each block's ways vector is computed once,
     and the table is filled row by row from the last position back, so deep
-    sequences cannot overflow the stack.  Only integers are kept; the
-    AdmissibleBlocks of a block is built when a draw lands on it.
+    sequences cannot overflow the stack.  Only integers are kept; a drawn
+    block is unranked from its tally by block(i, j, q, r).
     """
 
-    __slots__ = ("elements", "cap", "_n", "_ways", "_table", "_blocks")
+    __slots__ = ("elements", "cap", "_n", "_ways", "_table")
 
     def __init__(self, elements: tuple[Items, ...], cap: int):
         if cap < 0:
@@ -382,7 +332,6 @@ class SequenceCounts:
                         for ell in range(q, min(cap, q + after_norm[j + 1]) + 1):
                             row[ell] += ways * after[ell - q]
         self._table = table
-        self._blocks: dict[tuple[int, int], AdmissibleBlocks] = {}
 
     def ways(self, i: int, j: int) -> tuple[int, ...]:
         """ways(i, j)[q]: admissible q-blocks at position j after position i,
@@ -391,14 +340,43 @@ class SequenceCounts:
             raise ValueError(f"no block at {j} after {i}")
         return self._ways[j][i + 1]
 
-    def blocks(self, i: int, j: int) -> AdmissibleBlocks:
-        """Admissible first-fit blocks at position j after position i."""
-        key = (i, j)
-        got = self._blocks.get(key)
-        if got is None:
-            got = AdmissibleBlocks(self.elements[j], self.elements[i + 1 : j])
-            self._blocks[key] = got
-        return got
+    def block(self, i: int, j: int, q: int, r: int) -> Items:
+        """The r-th admissible q-block at position j after position i, in
+        lexicographic order, for 0 <= r < ways(i, j)[q].
+
+        The items b of elements[j] are walked in order, F being those taken.
+        The admissible blocks that extend F by b and then by items after b
+        number C(|rest|, q') - sum c_S * C(|S & rest|, q') over the tally
+        entries S that hold F and b (rest: the items after b; q' = q - |F| -
+        1), since the coefficients of the entries that hold a nonempty set
+        sum to 1 if a gap holds it, else to 0.  b is taken when r is below
+        that number; otherwise r drops by it."""
+        ways = self.ways(i, j)
+        if not (0 < q < len(ways) and 0 <= r < ways[q]):
+            raise ValueError(f"no {q}-block of rank {r} at {j} after {i}")
+        base = self.elements[j]
+        base_set = frozenset(base)
+        tally: Tally = {}
+        for other in self.elements[i + 1 : j]:
+            tally = _fold(tally, base_set.intersection(other))
+        # entries as bit masks over base positions: item base[at] is bit at
+        bit = {item: 1 << at for at, item in enumerate(base)}
+        held = [(sum(map(bit.__getitem__, s)), c) for s, c in tally.items()]
+        taken: list[int] = []
+        for at, item in enumerate(base):
+            need = q - len(taken) - 1
+            here = [(s, c) for s, c in held if s >> at & 1]
+            count = math.comb(len(base) - at - 1, need) - sum(
+                c * math.comb((s >> at + 1).bit_count(), need) for s, c in here
+            )
+            if r < count:
+                taken.append(item)
+                if not need:
+                    break
+                held = here
+            else:
+                r -= count
+        return tuple(taken)
 
     def _check(self, i: int, ell: int) -> None:
         if not -1 <= i < self._n:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -296,8 +297,17 @@ def test_wtx_weight_overflow_exits_1_with_one_line(tmp_path, capsys):
         ("bench", ["--repeats", "0"], None, "--repeats must be >= 1, got 0"),
         ("sample", ["--snapshot-every", "-1"], None, "--snapshot-every must be >= 0"),
         ("sample", [], "abc", "RPS_SEED must be an integer, got 'abc'"),
+        ("sample", ["--batch-size", "0"], None, "batch size must be >= 1, got 0"),
+        ("sample", ["--batch-size", "few"], None, "bad batch size 'few'"),
+        (
+            "sample", ["--reservoir-size", "100000000000"], None,
+            "capacity must be in [1, 10000000], got 100000000000",
+        ),
     ],
-    ids=["damping-grid", "empty-damping-grid", "repeats", "snapshot-every", "RPS_SEED"],
+    ids=[
+        "damping-grid", "empty-damping-grid", "repeats", "snapshot-every", "RPS_SEED",
+        "batch-size-zero", "batch-size-word", "reservoir-size",
+    ],
 )
 def test_bad_number_exits_2_with_one_line(
     tx_file, tmp_path, capsys, monkeypatch, command, extra, seed_env, message
@@ -305,10 +315,13 @@ def test_bad_number_exits_2_with_one_line(
     if seed_env is not None:
         monkeypatch.setenv("RPS_SEED", seed_env)
     out = tmp_path / "out.tsv"
+    start = time.process_time()
     code = main([
         command, "--input", str(tx_file), "--format", "tx",
         *(["--output", str(out)] if command == "sample" else []), *extra,
     ])
+    # refused up front, not after building or reading anything
+    assert time.process_time() - start < 1.0
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rps.engine import ReservoirSampler
+from rps.engine import MAX_CAPACITY, ReservoirSampler
 from rps.errors import (
     ConfigurationError,
     ReservoirNotReady,
@@ -33,6 +33,9 @@ def _plain_batches(weights_per_batch):
 def test_init_validation():
     with pytest.raises(ConfigurationError):
         ReservoirSampler(FREQ, capacity=0)
+    assert ReservoirSampler(FREQ, capacity=MAX_CAPACITY).capacity == MAX_CAPACITY
+    with pytest.raises(ConfigurationError, match=f"capacity must be in \\[1, {MAX_CAPACITY}\\]"):
+        ReservoirSampler(FREQ, capacity=MAX_CAPACITY + 1)
     with pytest.raises(ConfigurationError):
         ReservoirSampler(FREQ, capacity=3, damping=1.5)
     # one replacement rule, nothing to select

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from rps.errors import ParseError
+from rps.errors import ConfigurationError, ParseError
 from rps.formats import (
     iter_batches,
     parse_instance,
@@ -256,10 +256,24 @@ def test_iter_batches_fixed_size():
     # string sizes coming from a CLI flag work too
     batches = list(iter_batches(lines, "tx", cat, batch_size="5"))
     assert [len(b.instances) for b in batches] == [5]
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigurationError):
         list(iter_batches(lines, "tx", cat, batch_size="0"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigurationError):
         list(iter_batches(lines, "tx", cat, batch_size="few"))
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{"batch_size": 0}, {"batch_size": "few"}, {"timestamps": "wall"}],
+    ids=["zero", "word", "timestamp-mode"],
+)
+def test_bad_batch_arguments_are_refused_before_reading(options):
+    def lines():
+        raise AssertionError("a line was read")
+        yield "a"
+
+    with pytest.raises(ConfigurationError):
+        iter_batches(lines(), "tx", Catalog(), **options)
 
 
 def test_iter_batches_explicit_timestamps():
@@ -278,7 +292,7 @@ def test_iter_batches_explicit_timestamps():
         list(iter_batches(["# t a", "x a"], "tx", cat, timestamps="explicit"))
     with pytest.raises(ParseError, match="line 1: empty itemset"):
         list(iter_batches(["1 |label"], "tx", cat, timestamps="explicit"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ConfigurationError):
         list(iter_batches(["1 a"], "tx", cat, timestamps="sometimes"))
 
 

@@ -71,9 +71,9 @@ def test_variant_support():
     seq = sequence([[A], [B, C]])
     for text in ("freq", "area", "decay:0.5"):
         spec = parse_measure(text)
-        assert spec.supports(plain) and spec.supports(seq)
-        assert not spec.supports(weighted)
+        assert spec.supports(type(plain)) and spec.supports(type(seq))
+        assert not spec.supports(type(weighted))
     for text in ("util", "avgutil"):
         spec = parse_measure(text)
-        assert spec.supports(weighted)
-        assert not spec.supports(plain) and not spec.supports(seq)
+        assert spec.supports(type(weighted))
+        assert not spec.supports(type(plain)) and not spec.supports(type(seq))

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from rps import weighting
+from rps import oracle, weighting
 from rps.engine import ReservoirSampler
 from rps.errors import ConfigurationError, WeightOverflowError
 from rps.measures import BaseMeasure, MeasureSpec, parse_measure
@@ -22,7 +22,6 @@ from rps.model import (
     weighted_itemset,
 )
 from rps.weighting import (
-    AdmissibleBlocks,
     SequenceCounts,
     batch_weight,
     instance_weight,
@@ -82,6 +81,10 @@ def test_variant_base_mismatch():
         weight_table(weighted_itemset({A: 1.0}), FREQ)
     with pytest.raises(ConfigurationError):
         weight_table(sequence([[A], [B]]), UTIL)
+    with pytest.raises(ConfigurationError):
+        weight_table(plain_itemset([A, B, C]), UTIL)
+    with pytest.raises(ConfigurationError):
+        instance_weight(plain_itemset([A, B, C]), AVGUTIL)
 
 
 def test_sequence_counts_fixture():
@@ -137,10 +140,12 @@ def test_block_ways_equal_admissible_enumeration():
         for j, base in enumerate(z.elements):
             for i in range(-1, j):
                 ways = counts.ways(i, j)
-                blocks = AdmissibleBlocks(base, z.elements[i + 1 : j])
                 assert len(ways) == min(counts.cap, len(base)) + 1
                 for q in range(1, len(ways)):
-                    assert ways[q] == len(blocks.admissible(q)), (z, i, j, q)
+                    want = oracle.admissible_blocks(base, z.elements[i + 1 : j], q)
+                    assert ways[q] == len(want), (z, i, j, q)
+                    got = [counts.block(i, j, q, r) for r in range(ways[q])]
+                    assert got == want, (z, i, j, q)
 
 
 def test_sequence_counts_match_enumeration_on_nested_itemsets():
@@ -207,9 +212,29 @@ def test_admissible_blocks_count_equals_enumeration():
             tuple(sorted(rng.sample(range(8), rng.randint(1, 6))))
             for _ in range(rng.randint(0, 4))
         ]
-        blocks = AdmissibleBlocks(base, gaps)
+        counts = SequenceCounts(tuple(gaps) + (base,), len(base))
+        ways = counts.ways(-1, len(gaps))
         for q in range(1, len(base) + 1):
-            assert blocks.count(q) == len(blocks.admissible(q)), (base, gaps, q)
+            want = oracle.admissible_blocks(base, gaps, q)
+            assert ways[q] == len(want), (base, gaps, q)
+            got = [counts.block(-1, len(gaps), q, r) for r in range(ways[q])]
+            assert got == want, (base, gaps, q)
+
+
+def test_block_of_more_than_1024_subsets_unranks_to_the_enumeration():
+    # a 16-item block after 8-14-item gaps: C(16, 8) = 12870 subsets, where
+    # draws once switched from enumeration to rejection sampling
+    rng = random.Random(1024)
+    gaps = tuple(
+        tuple(sorted(rng.sample(range(16), rng.randint(8, 14)))) for _ in range(4)
+    )
+    counts = SequenceCounts(gaps + (tuple(range(16)),), 8)
+    want = oracle.admissible_blocks(tuple(range(16)), gaps, 8)
+    assert math.comb(16, 8) > 1024 and len(want) > 1024
+    assert counts.ways(-1, 4)[8] == len(want)
+    assert [counts.block(-1, 4, 8, r) for r in range(len(want))] == want
+    with pytest.raises(ValueError):
+        counts.block(-1, 4, 8, len(want))
 
 
 def test_tables_match_enumeration_randomized():
