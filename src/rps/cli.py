@@ -38,9 +38,11 @@ def _default_seed() -> int:
         raise ConfigurationError(f"RPS_SEED must be an integer, got {env!r}") from None
 
 
-def _add_stream_args(p: argparse.ArgumentParser) -> None:
+def _add_stream_args(p: argparse.ArgumentParser, batching: bool = True) -> None:
     p.add_argument("--input", default="-", help="input path, or - for stdin")
     p.add_argument("--format", required=True, choices=FORMATS, dest="fmt")
+    if not batching:  # featurize reads instances, not batches
+        return
     p.add_argument(
         "--batch-size",
         default="marker",
@@ -90,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_sample)
 
     p = sub.add_parser("featurize", help="turn instances into reservoir containment bits")
-    _add_stream_args(p)
+    _add_stream_args(p, batching=False)
     p.add_argument("--snapshot", required=True, help="snapshot file from 'rps sample'")
     p.add_argument("--output", default="-", help="CSV path, or - for stdout")
     p.set_defaults(run=_run_featurize)

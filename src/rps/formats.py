@@ -13,8 +13,8 @@ Formats:
 Each format has one parser, looked up once per stream.  The tokens of a tx
 or wtx line are resolved to ids in one Catalog call; seq-spmf interns token
 by token, which measured faster for its short itemsets.  The instance
-constructors check every result.  Batches carry no labels; read_instances
-yields them.
+constructors check every result, and a refused line leaves the catalog as
+it was.  Batches carry no labels; read_instances yields them.
 
 Pattern text is "{a,b}" for itemset patterns and "<{a}{b,c}>" for sequence
 patterns, tokens in item-id (interning) order.  Snapshot files hold one
@@ -144,9 +144,19 @@ _PARSERS = {"tx": _parse_tx, "wtx": _parse_wtx, "seq-spmf": _parse_seq}
 
 def _parser(fmt: str) -> Callable[[str, Catalog], tuple[Instance, str | None]]:
     try:
-        return _PARSERS[fmt]
+        parse = _PARSERS[fmt]
     except KeyError:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}") from None
+
+    def parse_line(line: str, catalog: Catalog) -> tuple[Instance, str | None]:
+        size = len(catalog)
+        try:
+            return parse(line, catalog)
+        except ParseError:  # a refused line leaves the catalog as it was
+            catalog.truncate(size)
+            raise
+
+    return parse_line
 
 
 def _num(x: float) -> str:
@@ -167,7 +177,7 @@ def serialize_instance(
             raise ParseError(f"wtx holds weighted itemsets, not {type(z).__name__}")
         items = " ".join(catalog.token(i) for i in z.items)
         weights = " ".join(_num(w) for w in z.weights)
-        line = f"{items}:{_num(math.fsum(z.weights))}:{weights}"
+        line = f"{items}:{_num(z.total_weight)}:{weights}"
         return f"{line}|{label}" if label else line
     if fmt == "seq-spmf":
         if not isinstance(z, Sequence):
@@ -305,12 +315,12 @@ def _iter_batches_explicit(
     parse = _parser(fmt)
 
     def parse_stamped(line: str, catalog: Catalog) -> tuple[float, Instance]:
-        first, _, rest = line.partition(" ")
+        first = line.split(None, 1)[0]  # ended by any whitespace
         try:
             t = float(first)
         except ValueError:
             raise ParseError(f"bad timestamp {first!r}") from None
-        return t, parse(rest.strip(), catalog)[0]
+        return t, parse(line[len(first) :].lstrip(), catalog)[0]
 
     pending: list[Instance] = []
     current_t: float | None = None

@@ -53,6 +53,12 @@ class Catalog:
         except KeyError:
             return tuple(sorted(set(map(self.intern, tokens))))
 
+    def truncate(self, size: int) -> None:
+        """Forget every token interned after the first size."""
+        for tok in self._tokens[size:]:
+            del self._ids[tok]
+        del self._tokens[size:]
+
     def token(self, item_id: int) -> str:
         return self._tokens[item_id]
 
@@ -126,7 +132,8 @@ class WeightedItemset:
 
     @property
     def total_weight(self) -> float:
-        return sum(self.weights)
+        """W, the correctly rounded sum of the item weights."""
+        return math.fsum(self.weights)
 
     def weight_of(self, item_id: int) -> float:
         # items is sorted but stays tiny at this scale; linear scan is fine

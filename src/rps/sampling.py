@@ -6,8 +6,8 @@ norm from that instance's table, then pick a pattern uniformly by measure
 mass among the instance's patterns of that norm.  The staged draw follows
 the exact batch law m(x, B) / w(B) without enumerating patterns.
 
-A sequence pattern is drawn block by block, each block as one uniform rank
-among its admissible blocks, unranked exactly by SequenceCounts.block.
+A sequence pattern is drawn by its own counts (SequenceCounts.draw), which
+read the first-occurrence counting table backwards, block by block.
 
 All randomness comes from the caller's random.Random, consumed in the fixed
 order instance, norm, pattern; replaying a seed replays the draws.
@@ -23,7 +23,6 @@ from .measures import MeasureSpec
 from .model import (
     Batch,
     Instance,
-    Items,
     Pattern,
     PlainItemset,
     Sequence,
@@ -70,7 +69,7 @@ def draw_pattern_of_norm(
     if isinstance(z, WeightedItemset):
         return _draw_weighted_pattern(z, ell, rng)
     if isinstance(z, Sequence):
-        return _draw_sequence_pattern(z, ell, spec, rng)
+        return Pattern(sequence_counts(z, spec.norm_cap(z.norm)).draw(ell, rng))
     raise TypeError(f"not an instance: {type(z).__name__}")
 
 
@@ -87,33 +86,6 @@ def _draw_weighted_pattern(z: WeightedItemset, ell: int, rng: Random) -> Pattern
     chosen = [z.items[pivot]]
     chosen.extend(z.items[i if i < pivot else i + 1] for i in rest)
     return Pattern((tuple(sorted(chosen)),))
-
-
-def _draw_sequence_pattern(
-    z: Sequence, ell: int, spec: MeasureSpec, rng: Random
-) -> Pattern:
-    # walk the first-occurrence counting table: at each step pick the next
-    # block position j and size q with mass (admissible blocks) x
-    # (continuations of the remaining norm), then a uniform rank among the
-    # admissible q-blocks, unranked from the block's tally; masses and ranks
-    # are integers so rng.randrange keeps the draw exact
-    counts = sequence_counts(z, spec.norm_cap(z.norm))
-    if not 1 <= ell <= counts.cap or counts.count(ell) <= 0:
-        raise ValueError(f"sequence has no pattern of norm {ell}")
-    parts: list[Items] = []
-    i = -1
-    remaining = ell
-    while remaining > 0:
-        options = counts.first_blocks(i, remaining)
-        r = rng.randrange(sum(mass for _, _, mass in options))
-        for j, q, mass in options:
-            if r < mass:
-                break
-            r -= mass
-        parts.append(counts.block(i, j, q, rng.randrange(counts.ways(i, j)[q])))
-        i = j
-        remaining -= q
-    return Pattern(tuple(parts))
 
 
 def sample_from_batch(

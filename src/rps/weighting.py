@@ -24,8 +24,9 @@ of signed coefficients per distinct intersection set, and for a fixed j it
 grows by one gap as i moves left, so each block's count vector costs one
 fold instead of a pass over every subfamily of gaps.
 
-A drawn block is unranked from the same tally, one item at a time in
-lexicographic order, without enumerating subsets (SequenceCounts.block).
+A pattern is drawn by reading the counting table backwards, each block
+unranked from its tally one item at a time in lexicographic order, without
+enumerating subsets (SequenceCounts.draw and block).
 
 Each table is cached on what it depends on.  A plain itemset's table is a
 function of (n, spec) alone, so one table serves every itemset of that size.
@@ -48,6 +49,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from random import Random
 from typing import Iterable
 
 from .errors import ConfigurationError, WeightOverflowError
@@ -153,7 +155,7 @@ def _itemset_shape(
 
 def _weighted_masses(z: WeightedItemset, spec: MeasureSpec) -> list[tuple[int, float]]:
     try:
-        total = math.fsum(z.weights)
+        total = z.total_weight
         # (W * c) * f, in this order, is the float product of the closed form
         return [
             (ell, total * c * f)
@@ -304,8 +306,8 @@ class SequenceCounts:
 
     with continuation(j, 0) = 1.  Each block's ways vector is computed once,
     and the table is filled row by row from the last position back, so deep
-    sequences cannot overflow the stack.  Only integers are kept; a drawn
-    block is unranked from its tally by block(i, j, q, r).
+    sequences cannot overflow the stack.  Only integers are kept; draw reads
+    them backwards, and block(i, j, q, r) unranks a drawn block.
     """
 
     __slots__ = ("elements", "cap", "_n", "_ways", "_table")
@@ -378,34 +380,40 @@ class SequenceCounts:
                 r -= count
         return tuple(taken)
 
-    def _check(self, i: int, ell: int) -> None:
-        if not -1 <= i < self._n:
-            raise ValueError(f"position {i} out of range")
-        if not 1 <= ell <= self.cap:
-            raise ValueError(f"norm {ell} outside [1, {self.cap}]")
-
-    def first_blocks(self, i: int, ell: int) -> list[tuple[int, int, int]]:
-        """The positive terms (j, q, mass) of continuation(i, ell), j then q
-        ascending: mass patterns of norm ell start with an admissible
-        q-block at position j."""
-        self._check(i, ell)
-        terms = []
-        for j in range(i + 1, self._n):
-            after = self._table[j + 1]
-            ways = self._ways[j][i + 1]
-            for q in range(1, min(ell, len(ways) - 1) + 1):
-                mass = ways[q] * after[ell - q]
-                if mass:
-                    terms.append((j, q, mass))
-        return terms
-
-    def continuation(self, i: int, ell: int) -> int:
-        self._check(i, ell)
-        return self._table[i + 1][ell]
-
     def count(self, ell: int) -> int:
         """Number of distinct patterns of norm ell in the sequence."""
-        return self.continuation(-1, ell)
+        self._check(ell)
+        return self._table[0][ell]
+
+    def draw(self, ell: int, rng: Random) -> tuple[Items, ...]:
+        """The blocks of a uniform pattern of norm ell.  Per block, one
+        randrange over continuation(i, remaining) picks its position j and
+        size q (j, then q, ascending) and one over ways(i, j)[q] its rank."""
+        self._check(ell)
+        parts: list[Items] = []
+        i = -1
+        remaining = ell
+        while remaining:
+            r = rng.randrange(self._table[i + 1][remaining])
+            for j in range(i + 1, self._n):
+                after = self._table[j + 1]
+                ways = self._ways[j][i + 1]
+                for q in range(1, min(remaining, len(ways) - 1) + 1):
+                    mass = ways[q] * after[remaining - q]
+                    if r < mass:
+                        break
+                    r -= mass
+                else:
+                    continue
+                break
+            parts.append(self.block(i, j, q, rng.randrange(ways[q])))
+            i = j
+            remaining -= q
+        return tuple(parts)
+
+    def _check(self, ell: int) -> None:
+        if not 1 <= ell <= self.cap:
+            raise ValueError(f"norm {ell} outside [1, {self.cap}]")
 
 
 CacheInfo = namedtuple("CacheInfo", "hits misses")

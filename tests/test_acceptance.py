@@ -312,7 +312,7 @@ def test_criterion_7_cli_round_trip(tmp_path):
     ]
     assert main(args) == 0
     cat = Catalog()
-    entries = read_snapshot(snap_path.open(), cat)
+    entries = read_snapshot(snap_path.read_text().splitlines(), cat)
     assert len(entries) == 12
     assert all(x.norm >= 1 for _, x in entries)
 
@@ -330,7 +330,7 @@ def test_criterion_7_cli_round_trip(tmp_path):
         "--format", "tx",
         "--output", str(csv_path),
     ]) == 0
-    rows = list(csv.reader(csv_path.open()))
+    rows = list(csv.reader(csv_path.read_text().splitlines()))
     assert rows[0] == [f"f{i}" for i in range(1, 13)] + ["label"]
     assert len(rows) == 1 + 30
     patterns = [x for _, x in entries]

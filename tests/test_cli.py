@@ -65,7 +65,7 @@ def _sample_args(tx_file, out, extra=()):
 def test_sample_writes_snapshot(tx_file, tmp_path):
     out = tmp_path / "snap.tsv"
     assert main(_sample_args(tx_file, out)) == 0
-    entries = read_snapshot(out.open(), Catalog())
+    entries = read_snapshot(out.read_text().splitlines(), Catalog())
     assert len(entries) == 8
     assert all(x.norm >= 1 for _, x in entries)
 
@@ -130,7 +130,7 @@ def test_sample_measure_and_norms(seq_file, tmp_path):
         "--reservoir-size", "5", "--seed", "1", "--output", str(out),
     ])
     assert code == 0
-    entries = read_snapshot(out.open(), Catalog())
+    entries = read_snapshot(out.read_text().splitlines(), Catalog())
     assert len(entries) == 5
     assert all(2 <= x.norm <= 3 for _, x in entries)
 
@@ -147,12 +147,12 @@ def test_featurize_round_trip(tx_file, tmp_path):
         "--output", str(out),
     ])
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == [f"f{i}" for i in range(1, 9)] + ["label"]
     assert len(rows) == 1 + 5  # header + five instances
     # bits must match library-side containment
     cat = Catalog()
-    patterns = [x for _, x in read_snapshot(snap.open(), cat)]
+    patterns = [x for _, x in read_snapshot(snap.read_text().splitlines(), cat)]
     lines = [ln for ln in TX_LINES.splitlines() if ln.strip()]
     for row, line in zip(rows[1:], lines):
         z, label = parse_instance(line, "tx", cat)
@@ -171,7 +171,7 @@ def test_featurize_warns_on_missing_labels(tx_file, tmp_path, capsys):
         "--format", "tx", "--output", str(out),
     ]) == 0
     assert "no label" in capsys.readouterr().err
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert [r[-1] for r in rows[1:]] == ["", ""]
 
 
@@ -234,7 +234,7 @@ def test_empty_input_gives_empty_snapshot(tmp_path):
     empty.write_text("", encoding="utf-8")
     out = tmp_path / "snap.tsv"
     assert main(_sample_args(empty, out)) == 0
-    assert read_snapshot(out.open(), Catalog()) == []
+    assert read_snapshot(out.read_text().splitlines(), Catalog()) == []
 
 
 def test_featurize_reads_only_the_final_snapshot(tmp_path):
@@ -254,7 +254,7 @@ def test_featurize_reads_only_the_final_snapshot(tmp_path):
         "featurize", "--snapshot", str(snap), "--input", str(stream),
         "--format", "tx", "--output", str(out),
     ]) == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["f1", "f2", "f3", "label"]
     cat = Catalog()
     patterns = [x for _, x in read_snapshot(io.StringIO(final), cat)]
@@ -335,3 +335,21 @@ def test_realisation_mode_flag_is_gone(tx_file, tmp_path, capsys):
                           ["--realisation-mode", "binomial-cdf"]))
     assert exc.value.code == 2
     assert "unrecognized arguments: --realisation-mode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--batch-size", "0"], ["--timestamps", "explicit"]], ids=["batch-size", "timestamps"]
+)
+def test_featurize_refuses_batching_flags(tx_file, tmp_path, capsys, flag):
+    # featurize reads instances one by one: batching flags would be ignored
+    snap = tmp_path / "snap.tsv"
+    assert main(_sample_args(tx_file, snap)) == 0
+    out = tmp_path / "features.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "featurize", "--snapshot", str(snap), "--input", str(tx_file),
+            "--format", "tx", "--output", str(out), *flag,
+        ])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()

@@ -179,16 +179,29 @@ def test_bulk_ingest_equals_per_token_interning(fmt):
     ]
 
 
-def test_refused_wtx_line_interns_what_per_token_interning_did():
+def test_refused_line_leaves_the_catalog_as_it_was():
+    good = {"wtx": "a:1:1", "seq-spmf": "a -1 -2"}
+    refused = [
+        ("wtx", "b c:9:1 2", "declared total"),
+        ("wtx", "b c b:3:1 1 1", "duplicate item"),
+        ("wtx", "p q:0:1 -1", "item weights must be positive"),
+        ("seq-spmf", "x y -1 -1 -2", "empty itemset before -1"),
+        ("seq-spmf", "u v -1", "sequence line is missing the -2"),
+    ]
     cat = Catalog(["a"])
-    # numbers are checked before any token is interned
-    with pytest.raises(ParseError, match="declared total"):
-        parse_instance("b c:9:1 2", "wtx", cat)
-    assert len(cat) == 1
-    # the ids are looked up before the duplicate check
-    with pytest.raises(ParseError, match="duplicate item"):
-        parse_instance("b c b:3:1 1 1", "wtx", cat)
-    assert [cat.token(i) for i in range(len(cat))] == ["a", "b", "c"]
+    for fmt, line, message in refused:
+        with pytest.raises(ParseError, match=message):
+            parse_instance(line, fmt, cat)
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            list(read_instances([good[fmt], line], fmt, cat))
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            list(iter_batches([good[fmt], line], fmt, cat, batch_size=1))
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            lines = [f"1 {good[fmt]}", f"2 {line}"]
+            list(iter_batches(lines, fmt, cat, timestamps="explicit"))
+        assert [cat.token(i) for i in range(len(cat))] == ["a"], line
+    # the forgotten tokens are gone from the lookup too
+    assert "b" not in cat and cat.intern("u") == 1
 
 
 def test_round_trip_instances():
@@ -292,6 +305,14 @@ def test_iter_batches_explicit_timestamps():
         list(iter_batches(["# t a", "x a"], "tx", cat, timestamps="explicit"))
     with pytest.raises(ParseError, match="line 1: empty itemset"):
         list(iter_batches(["1 |label"], "tx", cat, timestamps="explicit"))
+    # the stamp ends at any run of whitespace
+    spaced = ["1\ta b", "1   c", "2 \t d|x", "3\t\te"]
+    batches = list(iter_batches(spaced, "tx", Catalog(), timestamps="explicit"))
+    assert [(b.timestamp, len(b.instances)) for b in batches] == [(1, 2), (2, 1), (3, 1)]
+    assert batches[0].instances[0].norm == 2
+    for lone in ("4", "4\t"):
+        with pytest.raises(ParseError, match="line 2: empty itemset"):
+            list(iter_batches(["3 a", lone], "tx", cat, timestamps="explicit"))
     with pytest.raises(ConfigurationError):
         list(iter_batches(["1 a"], "tx", cat, timestamps="sometimes"))
 

@@ -3,6 +3,8 @@
 import math
 import random
 from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,6 +109,49 @@ def test_sequence_pattern_draw_uniform_over_distinct():
     assert set(counts) == support
     for x, c in counts.items():
         assert c / n == pytest.approx(1 / len(support), abs=0.01), x
+
+
+def _exact_law(draw) -> Counter:
+    """The law of draw(rng) when rng only calls randrange: every path of
+    outcomes is replayed once, weighted by the product of 1/n over its
+    calls."""
+    law: Counter = Counter()
+    script: list[int] = []
+    while True:
+        sizes: list[int] = []
+
+        def randrange(n: int) -> int:
+            if len(sizes) == len(script):
+                script.append(0)
+            sizes.append(n)
+            return script[len(sizes) - 1]
+
+        x = draw(SimpleNamespace(randrange=randrange))
+        law[x] += math.prod(Fraction(1, n) for n in sizes)
+        # next path: advance the last outcome below its bound, drop the rest
+        while script and script[-1] == sizes[len(script) - 1] - 1:
+            script.pop()
+        if not script:
+            return law
+        script[-1] += 1
+
+
+def test_sequence_pattern_draw_law_is_exact():
+    # repeated, nested and overlapping itemsets, then seeded random ones
+    rng = random.Random(12)
+    cases = [
+        sequence([[A], [A], [A]]),
+        sequence([[A, B], [A], [A, B]]),
+        sequence([[A, B, C], [A], [A, B]]),
+        sequence([[A, B], [B, C], [A, C]]),
+        sequence([[A], [B], [A], [B], [A]]),
+    ] + [streamgen.random_sequence(rng, alphabet=3, max_norm=6) for _ in range(8)]
+    for z in cases:
+        patterns = oracle.enumerate_patterns(z)
+        for ell in range(1, z.norm + 1):
+            support = {x for x in patterns if x.norm == ell}
+            law = _exact_law(lambda rng: draw_pattern_of_norm(z, ell, FREQ, rng))
+            assert law == {x: Fraction(1, len(support)) for x in support}, (z, ell)
 
 
 def test_pattern_draw_respects_first_occurrence_dedup():

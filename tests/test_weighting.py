@@ -343,3 +343,11 @@ def test_total_weight_decomposition():
             t = weight_table(z, spec)
             assert t.total == pytest.approx(math.fsum(t.weights), rel=1e-12)
             assert instance_weight(z, spec) == t.total
+
+
+def test_total_weight_is_the_w_of_the_util_table():
+    # sum((0.1, 0.2, 0.3)) is 0.6000000000000001; W is the correctly
+    # rounded 0.6 wherever the sampler reads it
+    z = weighted_itemset({A: 0.1, B: 0.2, C: 0.3})
+    assert z.total_weight == 0.6
+    assert weight_table(z, UTIL).weight(1) == z.total_weight
