@@ -12,7 +12,7 @@ import sys
 import time
 from typing import Iterator, TextIO
 
-from .engine import ReservoirSampler
+from .engine import Featurizer, ReservoirSampler
 from .errors import ConfigurationError, RpsError
 from .formats import (
     FINAL_HEADER,
@@ -25,7 +25,7 @@ from .formats import (
     write_snapshot,
 )
 from .measures import format_measure, parse_measure
-from .model import Batch, Catalog, matches
+from .model import Batch, Catalog
 
 
 def _default_seed() -> int:
@@ -188,20 +188,20 @@ def _run_featurize(args: argparse.Namespace) -> int:
     catalog = Catalog()
     with _open_in(args.snapshot) as fh:
         entries = read_snapshot(final_snapshot_lines(fh), catalog)
-    patterns = [x for _, x in entries]
-    if not patterns:
+    if not entries:
         raise ConfigurationError(f"snapshot {args.snapshot!r} holds no patterns")
+    featurize = Featurizer([x for _, x in entries])
     missing_labels = 0
     with _open_in(args.input) as fin, _open_out(args.output) as fout:
         writer = csv.writer(fout, lineterminator="\n")
-        writer.writerow([f"f{i}" for i in range(1, len(patterns) + 1)] + ["label"])
+        writer.writerow([f"f{i}" for i in range(1, len(entries) + 1)] + ["label"])
         for _, z, label in read_instances(fin, args.fmt, catalog):
             if z is None:
                 continue
             if label is None:
                 missing_labels += 1
                 label = ""
-            writer.writerow([1 if matches(x, z) else 0 for x in patterns] + [label])
+            writer.writerow(featurize(z) + [label])
     if missing_labels:
         print(
             f"warning: {missing_labels} instance(s) had no label; wrote empty strings",

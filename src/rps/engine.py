@@ -56,6 +56,39 @@ class BatchReport:
     evicted: tuple[int, ...]
 
 
+class Featurizer:
+    """Containment bits of probes against a fixed list of patterns.
+
+    Each pattern is filed, by slot, under the smallest item of its first
+    element.  A pattern contained in a probe has that item somewhere in the
+    probe, so a probe visits only the buckets of its own distinct items, and
+    each slot found there is confirmed with matches.  The bits equal
+    [1 if matches(x, z) else 0 for x in patterns].
+    """
+
+    __slots__ = ("_size", "_buckets")
+
+    def __init__(self, patterns: list[Pattern]):
+        self._size = len(patterns)
+        self._buckets: dict[int, list[tuple[int, Pattern]]] = {}
+        for slot, pat in enumerate(patterns):
+            self._buckets.setdefault(pat.elements[0][0], []).append((slot, pat))
+
+    def __call__(self, z: Instance) -> list[int]:
+        bits = [0] * self._size
+        buckets = self._buckets
+        elements = z.elements
+        # an itemset's items are distinct already
+        items = elements[0] if len(elements) == 1 else set().union(*elements)
+        for item in items:
+            for slot, pat in buckets.get(item, ()):
+                # matches is read from this module on each call, where
+                # perfbench/tracer.py counts it
+                if matches(pat, z):
+                    bits[slot] = 1
+        return bits
+
+
 # the first accepted batch draws every slot at once, so a capacity past what
 # memory holds would run until killed; refuse it up front instead
 MAX_CAPACITY = 10**7
@@ -84,6 +117,7 @@ class ReservoirSampler:
         self._t_mass: float | None = None  # timestamp the normalizer is scaled to
         self._t_seen: float | None = None  # last timestamp seen, for ordering
         self._variant: type | None = None  # instance type of the stream, once seen
+        self._featurizer: Featurizer | None = None  # built on the first read
         self.batches_seen = 0
         self.batches_accepted = 0
         self.insertions = 0
@@ -97,12 +131,15 @@ class ReservoirSampler:
         return list(self._entries)
 
     def feature_vector(self, z: Instance) -> list[int]:
-        """One containment bit per slot, in slot order."""
+        """One containment bit per slot, in slot order, from a Featurizer
+        built on the first read after the reservoir changed."""
         if not self.reservoir_full:
             raise ReservoirNotReady(
                 f"reservoir holds {len(self._entries)}/{self.capacity} patterns"
             )
-        return [1 if matches(pat, z) else 0 for _, pat in self._entries]
+        if self._featurizer is None:
+            self._featurizer = Featurizer([pat for _, pat in self._entries])
+        return self._featurizer(z)
 
     def process_batch(self, batch: Batch) -> BatchReport:
         """Offer one batch to the reservoir.  A batch that raises changes
@@ -151,6 +188,7 @@ class ReservoirSampler:
         if n < 1:
             return BatchReport(t, w, p, False, 0, ())
         self.batches_accepted += 1
+        self._featurizer = None
 
         if self._entries:
             slots = sample_distinct_indices(self.rng, k, n)

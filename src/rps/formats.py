@@ -53,7 +53,13 @@ def parse_instance(
     line: str, fmt: str, catalog: Catalog
 ) -> tuple[Instance, str | None]:
     """One non-blank line -> (instance, label or None)."""
-    return _parser(fmt)(line, catalog)
+    parse = _parser(fmt)
+    mark = len(catalog._tokens)
+    try:
+        return parse(line, catalog)
+    except ParseError:
+        catalog.truncate(mark)
+        raise
 
 
 def _parse_tx(line: str, catalog: Catalog) -> tuple[PlainItemset, str | None]:
@@ -144,19 +150,9 @@ _PARSERS = {"tx": _parse_tx, "wtx": _parse_wtx, "seq-spmf": _parse_seq}
 
 def _parser(fmt: str) -> Callable[[str, Catalog], tuple[Instance, str | None]]:
     try:
-        parse = _PARSERS[fmt]
+        return _PARSERS[fmt]
     except KeyError:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}") from None
-
-    def parse_line(line: str, catalog: Catalog) -> tuple[Instance, str | None]:
-        size = len(catalog)
-        try:
-            return parse(line, catalog)
-        except ParseError:  # a refused line leaves the catalog as it was
-            catalog.truncate(size)
-            raise
-
-    return parse_line
 
 
 def _num(x: float) -> str:
@@ -238,7 +234,7 @@ def _read(
 ) -> Iterator[tuple]:
     """(line_no, *parse(line, catalog)) per stripped non-blank line, and
     (line_no, None, None) per blank line, with read_instances' comments
-    and line numbers."""
+    and line numbers.  A refused line leaves the catalog as it was."""
     for line_no, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped.startswith("#"):
@@ -246,9 +242,12 @@ def _read(
         if not stripped:
             yield line_no, None, None
             continue
+        # the catalog's size, read without a Python-level call per line
+        mark = len(catalog._tokens)
         try:
             first, second = parse(stripped, catalog)
         except ParseError as exc:
+            catalog.truncate(mark)
             if exc.line_no is None:
                 raise ParseError(str(exc), line_no) from None
             raise

@@ -1,11 +1,12 @@
 """Reservoir engine: acceptance probabilities, eviction, determinism."""
 
 import math
+import pickle
 import random
 
 import pytest
 
-from rps.engine import MAX_CAPACITY, ReservoirSampler
+from rps.engine import MAX_CAPACITY, Featurizer, ReservoirSampler
 from rps.errors import (
     ConfigurationError,
     ReservoirNotReady,
@@ -13,11 +14,18 @@ from rps.errors import (
     WeightOverflowError,
 )
 from rps.measures import BaseMeasure, MeasureSpec
-from rps.model import Batch, matches, plain_itemset, sequence, weighted_itemset
+from rps.model import (
+    Batch,
+    matches,
+    pattern,
+    plain_itemset,
+    sequence,
+    weighted_itemset,
+)
 from rps.weighting import batch_weight
 
 import streamgen
-from conftest import A, B, C
+from conftest import A, B, C, D, E
 
 FREQ = MeasureSpec(BaseMeasure.FREQ)
 
@@ -188,6 +196,95 @@ def test_feature_vector():
     assert bits == [1 if matches(x, z3) else 0 for _, x in s.snapshot()]
     assert len(bits) == 4
     assert set(bits) <= {0, 1}
+
+
+def _containment(patterns, z):
+    return [1 if matches(x, z) else 0 for x in patterns]
+
+
+def test_featurizer_equals_containment_on_made_cases():
+    # one pattern in two slots, three patterns starting with A, and probe
+    # items (E) that start no pattern
+    itemsets = [pattern([[A, B]]), pattern([[A]]), pattern([[A, B]]),
+                pattern([[A, C]]), pattern([[D]])]
+    featurize = Featurizer(itemsets)
+    for z, want in (
+        (plain_itemset([A, B, E]), [1, 1, 1, 0, 0]),
+        (weighted_itemset({A: 1.0, C: 2.0, E: 1.0}), [0, 1, 0, 1, 0]),
+        (plain_itemset([E]), [0, 0, 0, 0, 0]),
+    ):
+        assert featurize(z) == want == _containment(itemsets, z)
+    # C, the first item of <{C}{A}> and <{C}{B}>, is only in the probe's
+    # second itemset; A starts a pattern and also comes after C
+    sequences = [pattern([[C], [A]]), pattern([[A], [B]]), pattern([[C], [A]]),
+                 pattern([[B, C]]), pattern([[B], [B]]), pattern([[C], [B]]),
+                 pattern([[A]])]
+    z = sequence([[A], [B, C], [A], [E]])
+    assert Featurizer(sequences)(z) == [1, 1, 1, 1, 0, 0, 1]
+    assert Featurizer(sequences)(z) == _containment(sequences, z)
+
+
+@pytest.mark.parametrize("variant", streamgen.VARIANTS)
+def test_featurizer_equals_containment_on_random_reservoirs(variant):
+    rng = random.Random(f"featurize/{variant}")
+    spec = streamgen.base_measures(variant)[0]
+    # probes draw from a wider alphabet than the stream, so some of their
+    # items are in no pattern
+    probe = {
+        "plain": lambda: streamgen.random_plain(rng, alphabet=14),
+        "weighted": lambda: streamgen.random_weighted(rng, alphabet=14),
+        "sequence": lambda: streamgen.random_sequence(rng, alphabet=7),
+    }[variant]
+    for trial in range(20):
+        s = ReservoirSampler(spec, capacity=rng.choice((1, 5, 30)), damping=0.1, seed=trial)
+        for t in range(1, 6):
+            s.process_batch(Batch(float(t), streamgen.random_batch(rng, variant).instances))
+        patterns = [x for _, x in s.snapshot()]
+        featurize = Featurizer(patterns)
+        for _ in range(20):
+            z = probe()
+            want = _containment(patterns, z)
+            assert featurize(z) == want
+            assert s.feature_vector(z) == want
+
+
+def test_feature_vector_follows_accepted_batches():
+    s = ReservoirSampler(FREQ, capacity=3, seed=0)
+    s.process_batch(Batch(1.0, (plain_itemset([A]),)))
+    probe = plain_itemset([B])
+    assert s.feature_vector(probe) == [0, 0, 0]
+    t = 1.0
+    while True:
+        t += 1.0
+        if s.process_batch(Batch(t, (plain_itemset([B]),) * 5)).accepted:
+            break
+        assert s.feature_vector(probe) == [0, 0, 0]
+    got = s.feature_vector(probe)
+    assert got == _containment([x for _, x in s.snapshot()], probe)
+    assert 1 in got
+
+
+def test_pickled_sampler_gives_the_same_vectors():
+    rng = random.Random(8)
+    stream = [streamgen.random_batch(rng, "sequence") for _ in range(6)]
+    probes = [streamgen.random_sequence(rng, alphabet=7) for _ in range(30)]
+    s = ReservoirSampler(FREQ, capacity=20, damping=0.1, seed=8)
+    for t, batch in enumerate(stream[:5], start=1):
+        s.process_batch(Batch(float(t), batch.instances))
+    unread = pickle.loads(pickle.dumps(s))
+    want = [s.feature_vector(z) for z in probes]
+    read = pickle.loads(pickle.dumps(s))
+    for clone in (unread, read):
+        assert [clone.feature_vector(z) for z in probes] == want
+    # and each clone follows its reservoir as the original does
+    last = Batch(6.0, stream[5].instances)
+    for sampler in (s, unread, read):
+        sampler.process_batch(last)
+    want = [s.feature_vector(z) for z in probes]
+    assert want == [_containment([x for _, x in s.snapshot()], z) for z in probes]
+    for clone in (unread, read):
+        assert clone.snapshot() == s.snapshot()
+        assert [clone.feature_vector(z) for z in probes] == want
 
 
 def test_snapshot_is_a_copy():
