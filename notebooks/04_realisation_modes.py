@@ -75,7 +75,7 @@ def slots_after_stream(rule, seed):
     slots = []
     mass = 0.0
     for batch in stream:
-        w = batch_weight(batch, spec)
+        w, masses = batch_weight(batch, spec)
         mass += w  # no damping: the normalizer is the plain sum
         p = w / mass
         u = rng.random()
@@ -87,10 +87,10 @@ def slots_after_stream(rule, seed):
             n = draw_realisations_conditional(K, p, rng)
         if slots:
             evicted = sample_distinct_indices(rng, K, n)
-            for s, x in zip(evicted, sample_from_batch(batch, spec, n, rng)):
+            for s, x in zip(evicted, sample_from_batch(batch, spec, n, rng, masses)):
                 slots[s] = x
         else:
-            slots = sample_from_batch(batch, spec, n, rng)
+            slots = sample_from_batch(batch, spec, n, rng, masses)
     return slots
 
 

@@ -143,7 +143,9 @@ class ReservoirSampler:
 
     def process_batch(self, batch: Batch) -> BatchReport:
         """Offer one batch to the reservoir.  A batch that raises changes
-        nothing: it is validated and weighed before any state moves."""
+        nothing: it is validated and weighed before any state moves.  It is
+        weighed from its rows, and its instances are read only to draw from
+        it once it is accepted."""
         t = batch.timestamp
         if not math.isfinite(t):
             raise StreamOrderError(f"batch timestamp {t} is not finite")
@@ -151,7 +153,7 @@ class ReservoirSampler:
             raise StreamOrderError(
                 f"batch timestamp {t} is not after {self._t_seen}"
             )
-        variant = type(batch.instances[0]) if batch.instances else self._variant
+        variant = batch.variant or self._variant
         if self._variant is not None and variant is not self._variant:
             # the patterns of two variants would mix in one reservoir
             raise ConfigurationError(
@@ -159,7 +161,7 @@ class ReservoirSampler:
                 f"{self._variant.__name__} instances"
             )
         # raises ConfigurationError if the measure does not fit the variant
-        w = batch_weight(batch, self.spec)
+        w, masses = batch_weight(batch, self.spec)
         if w > 0.0:
             if self._t_mass is None:
                 scaled_mass = w
@@ -192,13 +194,13 @@ class ReservoirSampler:
 
         if self._entries:
             slots = sample_distinct_indices(self.rng, k, n)
-            patterns = sample_from_batch(batch, self.spec, n, self.rng)
+            patterns = sample_from_batch(batch, self.spec, n, self.rng, masses)
             for s, pat in zip(slots, patterns):
                 self._entries[s] = (t, pat)
             evicted = tuple(slots)
         else:
             # first acceptance has p == 1 and n == k
-            patterns = sample_from_batch(batch, self.spec, n, self.rng)
+            patterns = sample_from_batch(batch, self.spec, n, self.rng, masses)
             self._entries = [(t, pat) for pat in patterns]
             evicted = tuple(range(n))
 

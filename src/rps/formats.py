@@ -10,11 +10,20 @@ Formats:
             and "-2" ends the line, with an optional leading "label|":
                                               greet|1 2 -1 3 -1 -2
 
-Each format has one parser, looked up once per stream.  The tokens of a tx
-or wtx line are resolved to ids in one Catalog call; seq-spmf interns token
-by token, which measured faster for its short itemsets.  The instance
-constructors check every result, and a refused line leaves the catalog as
-it was.  Batches carry no labels; read_instances yields them.
+Each format has one parser, looked up once per stream, that reads a line to
+its row and label.  A tx row is the set of the line's distinct item ids; a
+wtx or seq-spmf row is its instance.  The tokens of a tx or wtx line are
+resolved to ids in one Catalog call, in token order; seq-spmf interns token
+by token, which measured faster for its short itemsets.  A refused line
+leaves the catalog as it was.
+
+parse_instance and read_instances build each line's instance at once.
+iter_batches hands tx rows to Batch.of_plain_rows, which sorts, builds and
+checks their PlainItemsets only when the batch's instances are read: the
+engine weighs a batch from its rows and reads its instances only to draw
+from an accepted batch, so a rejected tx batch builds none.  Every check
+that can refuse a tx line runs as the line is read; a row the parser gave
+always builds.  Batches carry no labels; read_instances yields them.
 
 Pattern text is "{a,b}" for itemset patterns and "<{a}{b,c}>" for sequence
 patterns, tokens in item-id (interning) order.  Snapshot files hold one
@@ -38,7 +47,11 @@ from .model import (
     Sequence,
     WeightedItemset,
     canon_items,
+    plain_of_ids,
 )
+
+# what a parser reads a line to: a tx line's set of ids, else its instance
+Row = set[int] | Instance
 
 FORMATS = ("tx", "wtx", "seq-spmf")
 
@@ -56,18 +69,20 @@ def parse_instance(
     parse = _parser(fmt)
     mark = len(catalog._tokens)
     try:
-        return parse(line, catalog)
+        row, label = parse(line, catalog)
     except ParseError:
         catalog.truncate(mark)
         raise
+    return _instance(row), label
 
 
-def _parse_tx(line: str, catalog: Catalog) -> tuple[PlainItemset, str | None]:
+def _parse_tx(line: str, catalog: Catalog) -> tuple[set[int], str | None]:
+    """A tx line's row, the set of its distinct item ids, and its label."""
     body, sep, label = line.partition("|")
     tokens = body.split()
     if not tokens:
         raise ParseError("empty itemset")
-    return PlainItemset(catalog.intern_all(tokens)), (label.strip() if sep else None)
+    return catalog.id_set(tokens), (label.strip() if sep else None)
 
 
 def _parse_wtx(line: str, catalog: Catalog) -> tuple[WeightedItemset, str | None]:
@@ -148,11 +163,15 @@ def _parse_seq(line: str, catalog: Catalog) -> tuple[Sequence, str | None]:
 _PARSERS = {"tx": _parse_tx, "wtx": _parse_wtx, "seq-spmf": _parse_seq}
 
 
-def _parser(fmt: str) -> Callable[[str, Catalog], tuple[Instance, str | None]]:
+def _parser(fmt: str) -> Callable[[str, Catalog], tuple[Row, str | None]]:
     try:
         return _PARSERS[fmt]
     except KeyError:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}") from None
+
+
+def _instance(row: Row) -> Instance:
+    return plain_of_ids(row) if isinstance(row, set) else row
 
 
 def _num(x: float) -> str:
@@ -226,7 +245,10 @@ def read_instances(
     batch assembly can treat them as separators.  Parse errors are re-raised
     with the 1-based line number attached.
     """
-    return _read(lines, _parser(fmt), catalog)
+    return (
+        (line_no, row if row is None else _instance(row), label)
+        for line_no, row, label in _read(lines, _parser(fmt), catalog)
+    )
 
 
 def _read(
@@ -289,31 +311,38 @@ def iter_batches(
     return _iter_batches_ordinal(lines, fmt, catalog, batch_size)
 
 
+def _batch(fmt: str) -> Callable[[float, tuple[Row, ...]], Batch]:
+    """The batch of a format's rows: tx rows are built only when read."""
+    return Batch.of_plain_rows if fmt == "tx" else Batch
+
+
 def _iter_batches_ordinal(
     lines: Iterable[str], fmt: str, catalog: Catalog, batch_size: int | str
 ) -> Iterator[Batch]:
+    batch = _batch(fmt)
     t = 0.0
-    pending: list[Instance] = []
-    for _, z, _ in read_instances(lines, fmt, catalog):
-        if z is not None:
-            pending.append(z)
+    pending: list[Row] = []
+    for _, row, _ in _read(lines, _parser(fmt), catalog):
+        if row is not None:
+            pending.append(row)
             if len(pending) != batch_size:
                 continue
         elif batch_size != "marker" or not pending:
             continue
         t += 1.0
-        yield Batch(t, tuple(pending))
+        yield batch(t, tuple(pending))
         pending = []
     if pending:
-        yield Batch(t + 1.0, tuple(pending))
+        yield batch(t + 1.0, tuple(pending))
 
 
 def _iter_batches_explicit(
     lines: Iterable[str], fmt: str, catalog: Catalog
 ) -> Iterator[Batch]:
     parse = _parser(fmt)
+    batch = _batch(fmt)
 
-    def parse_stamped(line: str, catalog: Catalog) -> tuple[float, Instance]:
+    def parse_stamped(line: str, catalog: Catalog) -> tuple[float, Row]:
         first = line.split(None, 1)[0]  # ended by any whitespace
         try:
             t = float(first)
@@ -321,22 +350,22 @@ def _iter_batches_explicit(
             raise ParseError(f"bad timestamp {first!r}") from None
         return t, parse(line[len(first) :].lstrip(), catalog)[0]
 
-    pending: list[Instance] = []
+    pending: list[Row] = []
     current_t: float | None = None
-    for line_no, t, z in _read(lines, parse_stamped, catalog):
-        if z is None:
+    for line_no, t, row in _read(lines, parse_stamped, catalog):
+        if row is None:
             continue
         if current_t is not None and t != current_t:
             if t < current_t:
                 raise ParseError(
                     f"timestamp {t} decreases below {current_t}", line_no
                 )
-            yield Batch(current_t, tuple(pending))
+            yield batch(current_t, tuple(pending))
             pending = []
         current_t = t
-        pending.append(z)
+        pending.append(row)
     if pending:
-        yield Batch(current_t, tuple(pending))
+        yield batch(current_t, tuple(pending))
 
 
 def write_snapshot(

@@ -46,12 +46,16 @@ class Catalog:
         except KeyError:
             return list(map(self.intern, tokens))
 
-    def intern_all(self, tokens: Collection[str]) -> Items:
-        """canon_items(self.ids(tokens)), without the intermediate list."""
+    def id_set(self, tokens: Collection[str]) -> set[int]:
+        """set(self.ids(tokens)), without the intermediate list."""
         try:
-            return tuple(sorted(set(map(self._ids.__getitem__, tokens))))
+            return set(map(self._ids.__getitem__, tokens))
         except KeyError:
-            return tuple(sorted(set(map(self.intern, tokens))))
+            return set(map(self.intern, tokens))
+
+    def intern_all(self, tokens: Collection[str]) -> Items:
+        """canon_items(self.ids(tokens))."""
+        return tuple(sorted(self.id_set(tokens)))
 
     def truncate(self, size: int) -> None:
         """Forget every token interned after the first size."""
@@ -197,18 +201,71 @@ class Pattern:
         return len(self.elements) == 1
 
 
-@dataclass(frozen=True, slots=True)
+_set = object.__setattr__
+
+
 class Batch:
-    """Timestamped group of same-variant instances; may be empty."""
+    """Timestamped group of same-variant instances; may be empty.
 
-    timestamp: float
-    instances: tuple[Instance, ...]
+    Batch(timestamp, instances) holds the instances it is given.  A batch
+    read from tx lines (Batch.of_plain_rows) holds each line's set of
+    distinct item ids and builds its PlainItemsets on the first read of
+    instances, so a batch that is weighed and rejected builds none.  rows
+    is what the batch holds, and variant is its instance type (None when
+    empty); reading either builds nothing.  Equality, hashing, repr and
+    pickling go by (timestamp, instances), however the batch was made.
+    """
 
-    def __post_init__(self):
-        kinds = set(map(type, self.instances))
+    __slots__ = ("timestamp", "variant", "rows", "_instances")
+
+    def __init__(self, timestamp: float, instances: tuple[Instance, ...]):
+        kinds = set(map(type, instances))
         if len(kinds) > 1:
             names = sorted(k.__name__ for k in kinds)
             raise ValueError(f"batch mixes instance variants: {names}")
+        _set(self, "timestamp", timestamp)
+        _set(self, "variant", next(iter(kinds), None))
+        _set(self, "rows", instances)
+        _set(self, "_instances", instances)
+
+    @classmethod
+    def of_plain_rows(cls, timestamp: float, rows: tuple[set[int], ...]) -> "Batch":
+        """A batch of plain itemsets, each given as a non-empty set of
+        non-negative item ids."""
+        batch = cls.__new__(cls)
+        _set(batch, "timestamp", timestamp)
+        _set(batch, "variant", PlainItemset if rows else None)
+        _set(batch, "rows", rows)
+        _set(batch, "_instances", None)
+        return batch
+
+    @property
+    def instances(self) -> tuple[Instance, ...]:
+        if self._instances is None:
+            _set(self, "_instances", tuple(map(plain_of_ids, self.rows)))
+        return self._instances
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: a Batch is frozen")
+
+    def __eq__(self, other):
+        if other.__class__ is not Batch:
+            return NotImplemented
+        return (self.timestamp, self.instances) == (other.timestamp, other.instances)
+
+    def __hash__(self):
+        return hash((self.timestamp, self.instances))
+
+    def __repr__(self):
+        return f"Batch(timestamp={self.timestamp!r}, instances={self.instances!r})"
+
+    def __reduce__(self):
+        return (Batch, (self.timestamp, self.instances))
+
+
+def plain_of_ids(ids: set[int]) -> PlainItemset:
+    """The plain itemset of a set of distinct non-negative item ids."""
+    return PlainItemset(tuple(sorted(ids)))
 
 
 def plain_itemset(items: Iterable[int]) -> PlainItemset:

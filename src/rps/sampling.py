@@ -28,7 +28,7 @@ from .model import (
     Sequence,
     WeightedItemset,
 )
-from .weighting import NormWeightTable, instance_weight, sequence_counts, weight_table
+from .weighting import NormWeightTable, batch_weight, sequence_counts, weight_table
 
 
 def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
@@ -89,14 +89,26 @@ def _draw_weighted_pattern(z: WeightedItemset, ell: int, rng: Random) -> Pattern
 
 
 def sample_from_batch(
-    batch: Batch, spec: MeasureSpec, count: int, rng: Random
+    batch: Batch,
+    spec: MeasureSpec,
+    count: int,
+    rng: Random,
+    masses: list[float] | None = None,
 ) -> list[Pattern]:
-    """count independent pattern draws from the batch law m(x, B) / w(B)."""
+    """count independent pattern draws from the batch law m(x, B) / w(B).
+
+    masses are the per-instance masses batch_weight gave for this batch and
+    spec; they are weighed again when not given.
+    """
     if count < 0:
         raise ValueError(f"draw count must be >= 0, got {count}")
     if count == 0:
         return []
-    cum = list(accumulate(instance_weight(z, spec) for z in batch.instances))
+    if masses is None:
+        masses = batch_weight(batch, spec)[1]
+    elif len(masses) != len(batch.rows):
+        raise ValueError(f"{len(masses)} masses for {len(batch.rows)} instances")
+    cum = list(accumulate(masses))
     total = cum[-1] if cum else 0.0
     if total <= 0:
         raise ValueError("batch has no pattern mass under this measure")

@@ -223,13 +223,27 @@ def instance_weight(z: Instance, spec: MeasureSpec) -> float:
     return weight_table(z, spec).total
 
 
-def batch_weight(batch: Batch, spec: MeasureSpec) -> float:
-    weights = [instance_weight(z, spec) for z in batch.instances]
+def batch_weight(batch: Batch, spec: MeasureSpec) -> tuple[float, list[float]]:
+    """(w(B), the mass of each of the batch's rows, in row order).
+
+    Rows that are sets of item ids (Batch.of_plain_rows) are plain itemsets,
+    weighed by their sizes alone without building them: one table lookup per
+    distinct size.  Rows that are instances are weighed by instance_weight.
+    The masses are the floats instance_weight gives for the batch's
+    instances either way.
+    """
+    rows = batch.rows
+    if rows and isinstance(rows[0], set):
+        sizes = list(map(len, rows))
+        mass_of = {n: _itemset_shape(PlainItemset, n, spec).total for n in set(sizes)}
+        masses = list(map(mass_of.__getitem__, sizes))
+    else:
+        masses = [instance_weight(z, spec) for z in rows]
     try:
-        return math.fsum(weights)
+        return math.fsum(masses), masses
     except OverflowError:
         raise WeightOverflowError(
-            f"pattern mass of a batch of {len(weights)} instances exceeds "
+            f"pattern mass of a batch of {len(masses)} instances exceeds "
             f"the largest float ({sys.float_info.max:.3g})"
         ) from None
 

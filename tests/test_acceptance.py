@@ -78,7 +78,7 @@ def test_criterion_1_fixture_values(seq_stream, weighted_stream):
 
     # batch weight and acceptance probabilities
     b1 = Batch(1.0, (plain_itemset([A, B, C]), plain_itemset([A, C])))
-    assert batch_weight(b1, FREQ) == 10.0
+    assert batch_weight(b1, FREQ) == (10.0, [7.0, 3.0])
     s = ReservoirSampler(FREQ, capacity=1, seed=0)
     assert s.process_batch(b1).probability == 1.0
     r2 = s.process_batch(Batch(2.0, (plain_itemset([A, B]),)))

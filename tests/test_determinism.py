@@ -15,8 +15,9 @@ import random
 import pytest
 
 from rps.engine import ReservoirSampler
+from rps.formats import iter_batches, serialize_instance
 from rps.measures import parse_measure
-from rps.model import Batch, plain_itemset, sequence, weighted_itemset
+from rps.model import Batch, Catalog, plain_itemset, sequence, weighted_itemset
 
 
 def _stream(fmt: str, seed: int) -> list[Batch]:
@@ -87,3 +88,78 @@ DIGESTS = {
 @pytest.mark.parametrize("case", sorted(DIGESTS), ids=lambda c: "-".join(map(str, c)))
 def test_snapshot_digest_is_pinned(case):
     assert snapshot_digest(*case) == DIGESTS[case]
+
+
+def _reader_lines(fmt: str, mode: str) -> list[str]:
+    """_stream(fmt, 5) as text: item id i is written as token "i<i>", and
+    batches are separated by a blank line (marker), not at all (a fixed
+    batch size) or by a leading timestamp column (explicit)."""
+    catalog = Catalog(f"i{i}" for i in range(200))
+    lines: list[str] = []
+    for batch in _stream(fmt, seed=5):
+        for z in batch.instances:
+            line = serialize_instance(z, fmt, catalog)
+            lines.append(f"{batch.timestamp:g} {line}" if mode == "explicit" else line)
+        if mode == "marker":
+            lines.append("")
+    return lines
+
+
+def reader_digests(
+    fmt: str, mode: str, measure: str, k: int, damping: float
+) -> tuple[str, str]:
+    """(digest of repr(snapshot), digest of repr of every batch's instances)
+    after streaming _reader_lines through iter_batches."""
+    if mode == "explicit":
+        options = {"timestamps": "explicit"}
+    else:
+        options = {"batch_size": 7 if mode == "size" else "marker"}
+    batches = list(iter_batches(_reader_lines(fmt, mode), fmt, Catalog(), **options))
+    sampler = ReservoirSampler(parse_measure(measure), k, damping, seed=11)
+    for batch in batches:
+        sampler.process_batch(batch)
+    return (
+        hashlib.sha256(repr(sampler.snapshot()).encode()).hexdigest(),
+        hashlib.sha256(repr([b.instances for b in batches]).encode()).hexdigest(),
+    )
+
+
+# (format, batching mode, measure, capacity, damping) -> (snapshot digest,
+# instances digest)
+READER_DIGESTS = {
+    ("tx", "size", "freq", 10, 0.0): (
+        "c0877e0d15a4c459c67863e90b41660e9df54ee8eee62d98676ca0fe2d7c691c",
+        "62167911c5c9730ac53fe8b70272efacf56031ff5424c63bc60b87839e9ca246",
+    ),
+    ("tx", "marker", "freq", 10, 0.0): (
+        "0910e08e485508db7e847c3237a6f5d24995d808dfc5e50689b259697f22ee14",
+        "39957c85674631db5be556ed7ddc71e6fa7ad28caba0720a9bd08b958d32aadc",
+    ),
+    ("tx", "explicit", "freq", 10, 0.0): (
+        "0910e08e485508db7e847c3237a6f5d24995d808dfc5e50689b259697f22ee14",
+        "39957c85674631db5be556ed7ddc71e6fa7ad28caba0720a9bd08b958d32aadc",
+    ),
+    ("tx", "marker", "area", 1, 0.05): (
+        "6bed1f5acf76fb5b1bf07efc7f549bb537d2d5e7f9b79c240e0c4c078b1284fa",
+        "39957c85674631db5be556ed7ddc71e6fa7ad28caba0720a9bd08b958d32aadc",
+    ),
+    ("wtx", "marker", "util", 10, 0.05): (
+        "d1990d19594fd24140102811860ed9dab8f7184155befcda406bf45dbad2c547",
+        "e107d1e3f0e86fe0f3d88570c2d10eabd94dacddbd460e240486f98d0ca4b57a",
+    ),
+    ("seq-spmf", "marker", "freq", 10, 0.05): (
+        "3af2fb2c4f01b00b5f4e9259edee17aba4018799c96f023e8f68b2e3ce570013",
+        "64f4cf9a839bea7c1b98ac5bd089f9f16e7b4ee5036238f5b83561c753739b55",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(READER_DIGESTS), ids=lambda c: "-".join(map(str, c))
+)
+def test_reader_path_is_pinned(case):
+    """The same pins through the text reader.  These digests were taken
+    before tx lines were read to id sets and PlainItemsets built only when
+    a batch's instances are read, so a change to interning order, to batch
+    assembly or to what the engine weighs shows up here."""
+    assert reader_digests(*case) == READER_DIGESTS[case]

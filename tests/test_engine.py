@@ -13,6 +13,7 @@ from rps.errors import (
     StreamOrderError,
     WeightOverflowError,
 )
+from rps import model
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import (
     Batch,
@@ -68,12 +69,34 @@ def test_acceptance_probability_fixture():
     s = ReservoirSampler(FREQ, capacity=1, seed=0)
     b1 = Batch(1.0, (plain_itemset([A, B, C]), plain_itemset([A, C])))
     b2 = Batch(2.0, (plain_itemset([A, B]),))
-    assert batch_weight(b1, FREQ) == 10.0
-    assert batch_weight(b2, FREQ) == 3.0
+    assert batch_weight(b1, FREQ) == (10.0, [7.0, 3.0])
+    assert batch_weight(b2, FREQ) == (3.0, [3.0])
     r1 = s.process_batch(b1)
     r2 = s.process_batch(b2)
     assert r1.probability == 1.0
     assert r2.probability == 3.0 / 13.0
+
+
+def test_a_rejected_batch_of_rows_builds_no_instance(monkeypatch):
+    built = []
+
+    def counting(ids):
+        built.append(ids)
+        return model.PlainItemset(tuple(sorted(ids)))
+
+    monkeypatch.setattr(model, "plain_of_ids", counting)
+    s = ReservoirSampler(FREQ, capacity=2, seed=4)
+    twin = ReservoirSampler(FREQ, capacity=2, seed=4)
+    accepted = []
+    for t in range(1, 30):
+        before = len(built)
+        report = s.process_batch(Batch.of_plain_rows(float(t), ({B, A}, {C})))
+        twin_batch = Batch(float(t), (plain_itemset([A, B]), plain_itemset([C])))
+        assert report == twin.process_batch(twin_batch)
+        assert len(built) - before == (2 if report.accepted else 0)
+        accepted.append(report.accepted)
+    assert s.snapshot() == twin.snapshot()
+    assert True in accepted[1:] and False in accepted
 
 
 def test_damped_acceptance_probability():

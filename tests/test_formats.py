@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from rps.engine import ReservoirSampler
 from rps.errors import ConfigurationError, ParseError
 from rps.formats import (
     iter_batches,
@@ -16,6 +17,7 @@ from rps.formats import (
     serialize_instance,
     write_snapshot,
 )
+from rps.measures import parse_measure
 from rps.model import (
     Catalog,
     Pattern,
@@ -177,11 +179,29 @@ def test_bulk_ingest_equals_per_token_interning(fmt):
     assert [cat.token(i) for i in range(len(cat))] == [
         ref_cat.token(i) for i in range(len(ref_cat))
     ]
+    # marker batches hold the instances between blank lines, interned alike
+    want_batches, pending = [], []
+    for _, z, _ in got:
+        if z is not None:
+            pending.append(z)
+        elif pending:
+            want_batches.append(tuple(pending))
+            pending = []
+    if pending:
+        want_batches.append(tuple(pending))
+    batch_cat = Catalog()
+    batches = list(iter_batches(lines, fmt, batch_cat))
+    assert [b.instances for b in batches] == want_batches
+    assert [b.timestamp for b in batches] == [float(t) for t in range(1, len(batches) + 1)]
+    assert [batch_cat.token(i) for i in range(len(batch_cat))] == [
+        cat.token(i) for i in range(len(cat))
+    ]
 
 
 def test_refused_line_leaves_the_catalog_as_it_was():
-    good = {"wtx": "a:1:1", "seq-spmf": "a -1 -2"}
+    good = {"tx": "a", "wtx": "a:1:1", "seq-spmf": "a -1 -2"}
     refused = [
+        ("tx", "|only-a-label", "empty itemset"),
         ("wtx", "b c:9:1 2", "declared total"),
         ("wtx", "b c b:3:1 1 1", "duplicate item"),
         ("wtx", "p q:0:1 -1", "item weights must be positive"),
@@ -202,6 +222,38 @@ def test_refused_line_leaves_the_catalog_as_it_was():
         assert [cat.token(i) for i in range(len(cat))] == ["a"], line
     # the forgotten tokens are gone from the lookup too
     assert "b" not in cat and cat.intern("u") == 1
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_refused_line_in_a_rejected_batch_is_raised(explicit):
+    # k = 1 and no damping: batch t is accepted with probability about 1/t,
+    # so the last batch of the clean stream is rejected
+    clean = [[f"a b c{t}", "b c"] for t in range(1, 21)]
+    bad = [list(group) for group in clean]
+    bad[-1].insert(1, "|only-a-label")
+
+    def render(groups):
+        if explicit:
+            return [f"{t} {line}" for t, g in enumerate(groups, start=1) for line in g]
+        return [line for g in groups for line in (*g, "")]
+
+    sampler = ReservoirSampler(parse_measure("freq"), 1, seed=3)
+    options = {"timestamps": "explicit"} if explicit else {}
+    reports = [
+        sampler.process_batch(b)
+        for b in iter_batches(render(clean), "tx", Catalog(), **options)
+    ]
+    assert len(reports) == 20 and not reports[-1].accepted
+
+    bad_lines = render(bad)
+    line_no = next(i for i, line in enumerate(bad_lines, start=1) if "only" in line)
+    sampler = ReservoirSampler(parse_measure("freq"), 1, seed=3)
+    batches = iter_batches(bad_lines, "tx", Catalog(), **options)
+    for _ in range(19):
+        sampler.process_batch(next(batches))
+    with pytest.raises(ParseError, match=f"line {line_no}: empty itemset"):
+        next(batches)
+    assert sampler.batches_seen == 19
 
 
 def test_round_trip_instances():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from rps import model
 from rps.model import (
     Batch,
     Catalog,
@@ -103,6 +104,31 @@ def test_batch_invariants():
         Batch(1.0, (plain_itemset([A]), sequence([[A]])))
     empty = Batch(1.0, ())
     assert empty.instances == ()
+    assert empty.variant is None and Batch.of_plain_rows(1.0, ()).variant is None
+    assert Batch(1.0, (sequence([[A]]),)).variant is Sequence
+
+
+def test_batch_of_plain_rows_builds_once_on_first_read(monkeypatch):
+    built = []
+
+    def counting(ids):
+        built.append(ids)
+        return PlainItemset(tuple(sorted(ids)))
+
+    monkeypatch.setattr(model, "plain_of_ids", counting)
+    rows = ({C, A}, {B})
+    lazy = Batch.of_plain_rows(2.0, rows)
+    eager = Batch(2.0, (plain_itemset([A, C]), plain_itemset([B])))
+    assert lazy.variant is PlainItemset and lazy.rows is rows
+    assert built == []
+    assert lazy.instances == eager.instances
+    assert lazy.instances is lazy.instances and len(built) == 2
+    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
+    assert lazy != Batch(3.0, eager.instances)
+    with pytest.raises(AttributeError, match="frozen"):
+        lazy.timestamp = 3.0
+    for clone in (pickle.loads(pickle.dumps(lazy)), copy.copy(lazy), copy.deepcopy(lazy)):
+        assert clone == eager and clone.rows == eager.instances
 
 
 def test_is_subset():

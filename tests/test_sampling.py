@@ -17,7 +17,7 @@ from rps.sampling import (
     sample_distinct_indices,
     sample_from_batch,
 )
-from rps.weighting import weight_table
+from rps.weighting import batch_weight, weight_table
 
 import streamgen
 from conftest import A, B, C, D
@@ -174,6 +174,8 @@ def test_sample_from_batch_follows_batch_law():
     assert sample_from_batch(batch, FREQ, 0, rng) == []
     with pytest.raises(ValueError):
         sample_from_batch(batch, FREQ, -1, rng)
+    with pytest.raises(ValueError, match="1 masses for 2 instances"):
+        sample_from_batch(batch, FREQ, 1, rng, [7.0])
 
 
 def test_sample_from_batch_zero_mass():
@@ -188,7 +190,9 @@ def test_sample_from_batch_zero_mass():
 def test_draws_are_seed_deterministic():
     batch = Batch(1.0, (sequence([[A], [B, C], [A, C]]),))
     a = sample_from_batch(batch, FREQ, 500, random.Random(42))
-    b = sample_from_batch(batch, FREQ, 500, random.Random(42))
+    # the masses batch_weight gives are the ones a draw weighs itself
+    masses = batch_weight(batch, FREQ)[1]
+    b = sample_from_batch(batch, FREQ, 500, random.Random(42), masses)
     c = sample_from_batch(batch, FREQ, 500, random.Random(43))
     assert a == b
     assert a != c

@@ -199,9 +199,23 @@ def test_sequence_state_lives_with_the_sequence():
 
 def test_batch_weight_fixture():
     batch = Batch(1.0, (plain_itemset([A, B, C]), plain_itemset([A, C])))
-    assert batch_weight(batch, FREQ) == 10.0
+    assert batch_weight(batch, FREQ) == (10.0, [7.0, 3.0])
     assert instance_weight(plain_itemset([A, C]), FREQ) == 3.0
-    assert batch_weight(Batch(1.0, ()), FREQ) == 0.0
+    assert batch_weight(Batch(1.0, ()), FREQ) == (0.0, [])
+
+
+def test_plain_rows_weigh_as_their_itemsets():
+    rng = random.Random(12)
+    specs = [FREQ, AREA, parse_measure("decay:0.5"), MeasureSpec(BaseMeasure.FREQ, min_norm=3)]
+    for _ in range(30):
+        rows = tuple(
+            set(rng.sample(range(40), rng.randint(1, 12))) for _ in range(rng.randint(1, 9))
+        )
+        eager = Batch(1.0, tuple(map(plain_itemset, rows)))
+        for spec in specs:
+            assert batch_weight(Batch.of_plain_rows(1.0, rows), spec) == batch_weight(eager, spec)
+    with pytest.raises(ConfigurationError):
+        batch_weight(Batch.of_plain_rows(1.0, ({A},)), UTIL)
 
 
 def test_admissible_blocks_count_equals_enumeration():
