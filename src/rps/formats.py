@@ -12,10 +12,10 @@ Formats:
 
 Each format has one parser, looked up once per stream, that reads a line to
 its row and label.  A tx row is the set of the line's distinct item ids; a
-wtx or seq-spmf row is its instance.  The tokens of a tx or wtx line are
-resolved to ids in one Catalog call, in token order; seq-spmf interns token
-by token, which measured faster for its short itemsets.  A refused line
-leaves the catalog as it was.
+wtx or seq-spmf row is its instance.  Every parser, the snapshot line's
+too, runs all the checks that can refuse a line before it interns the
+line's first token, so a refused line leaves the catalog as it was; the
+line's tokens are then interned in token order in one Catalog call.
 
 parse_instance and read_instances build each line's instance at once.
 iter_batches hands tx rows to Batch.of_plain_rows, which sorts, builds and
@@ -46,7 +46,6 @@ from .model import (
     PlainItemset,
     Sequence,
     WeightedItemset,
-    canon_items,
     plain_of_ids,
 )
 
@@ -66,13 +65,7 @@ def parse_instance(
     line: str, fmt: str, catalog: Catalog
 ) -> tuple[Instance, str | None]:
     """One non-blank line -> (instance, label or None)."""
-    parse = _parser(fmt)
-    mark = len(catalog._tokens)
-    try:
-        row, label = parse(line, catalog)
-    except ParseError:
-        catalog.truncate(mark)
-        raise
+    row, label = _parser(fmt)(line, catalog)
     return _instance(row), label
 
 
@@ -118,13 +111,12 @@ def _parse_wtx(line: str, catalog: Catalog) -> tuple[WeightedItemset, str | None
         raise ParseError(
             f"declared total utility {declared} != sum of weights {total}"
         )
-    ids = catalog.ids(tokens)
-    if len(set(ids)) != len(ids):
+    if len(set(tokens)) != len(tokens):
         raise ParseError(f"duplicate item in weighted itemset {parts[0].strip()!r}")
-    try:
-        z = WeightedItemset(*zip(*sorted(zip(ids, weights))))
-    except ValueError as exc:  # a weight that is not positive
-        raise ParseError(str(exc)) from None
+    if min(weights) <= 0.0:
+        raise ParseError(f"item weights must be positive: {tuple(weights)!r}")
+    ids = catalog.ids(tokens)
+    z = WeightedItemset(*zip(*sorted(zip(ids, weights))))
     return z, (label.strip() if sep else None)
 
 
@@ -135,8 +127,8 @@ def _parse_seq(line: str, catalog: Catalog) -> tuple[Sequence, str | None]:
     tokens = body.split()
     if not tokens:
         raise ParseError("empty sequence")
-    elements: list[tuple[int, ...]] = []
-    current: list[int] = []
+    groups: list[list[str]] = []  # each itemset's tokens, interned once checked
+    current: list[str] = []
     terminated = False
     for tok in tokens:
         if terminated:
@@ -144,20 +136,20 @@ def _parse_seq(line: str, catalog: Catalog) -> tuple[Sequence, str | None]:
         if tok == "-1":
             if not current:
                 raise ParseError("empty itemset before -1")
-            elements.append(canon_items(current))
+            groups.append(current)
             current = []
         elif tok == "-2":
             if current:
-                elements.append(canon_items(current))
+                groups.append(current)
                 current = []
             terminated = True
         else:
-            current.append(catalog.intern(tok))
+            current.append(tok)
     if not terminated:
         raise ParseError("sequence line is missing the -2 end marker")
-    if not elements:
+    if not groups:
         raise ParseError("empty sequence")
-    return Sequence(tuple(elements)), label
+    return Sequence(catalog.itemsets(groups)), label
 
 
 _PARSERS = {"tx": _parse_tx, "wtx": _parse_wtx, "seq-spmf": _parse_seq}
@@ -217,6 +209,12 @@ def pattern_text(x: Pattern, catalog: Catalog) -> str:
 
 
 def parse_pattern(text: str, catalog: Catalog) -> Pattern:
+    """Inverse of pattern_text; a refused text interns nothing."""
+    return Pattern(catalog.itemsets(_pattern_groups(text)))
+
+
+def _pattern_groups(text: str) -> list[list[str]]:
+    """The checked token groups of a pattern text, one per itemset."""
     t = text.strip()
     if t.startswith("<") and t.endswith(">"):
         inner = t[1:-1]
@@ -227,13 +225,10 @@ def parse_pattern(text: str, catalog: Catalog) -> Pattern:
     groups = _GROUP_RE.findall(inner)
     if not groups or "".join(f"{{{g}}}" for g in groups) != inner.replace(" ", ""):
         raise ParseError(f"bad pattern text {text!r}")
-    elements = []
-    for g in groups:
-        tokens = [tok.strip() for tok in g.split(",") if tok.strip()]
-        if not tokens:
-            raise ParseError(f"empty itemset in pattern text {text!r}")
-        elements.append(catalog.intern_all(tokens))
-    return Pattern(tuple(elements))
+    token_groups = [[tok.strip() for tok in g.split(",") if tok.strip()] for g in groups]
+    if not all(token_groups):
+        raise ParseError(f"empty itemset in pattern text {text!r}")
+    return token_groups
 
 
 def read_instances(
@@ -256,7 +251,7 @@ def _read(
 ) -> Iterator[tuple]:
     """(line_no, *parse(line, catalog)) per stripped non-blank line, and
     (line_no, None, None) per blank line, with read_instances' comments
-    and line numbers.  A refused line leaves the catalog as it was."""
+    and line numbers."""
     for line_no, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped.startswith("#"):
@@ -264,15 +259,10 @@ def _read(
         if not stripped:
             yield line_no, None, None
             continue
-        # the catalog's size, read without a Python-level call per line
-        mark = len(catalog._tokens)
         try:
             first, second = parse(stripped, catalog)
         except ParseError as exc:
-            catalog.truncate(mark)
-            if exc.line_no is None:
-                raise ParseError(str(exc), line_no) from None
-            raise
+            raise ParseError(str(exc), line_no) from None
         yield line_no, first, second
 
 
@@ -291,7 +281,7 @@ def iter_batches(
 
     timestamps="explicit": each line starts with a timestamp column and
     consecutive lines with equal timestamps form one batch; batch_size is
-    ignored and timestamps must not decrease.
+    ignored and timestamps must be finite and must not decrease.
 
     Labels are not kept; read_instances gives them.  A bad batch size or
     timestamp mode raises ConfigurationError from the call, before any line
@@ -341,25 +331,29 @@ def _iter_batches_explicit(
 ) -> Iterator[Batch]:
     parse = _parser(fmt)
     batch = _batch(fmt)
+    last = -math.inf
 
     def parse_stamped(line: str, catalog: Catalog) -> tuple[float, Row]:
+        # the stamp is checked in full before the row is parsed
+        nonlocal last
         first = line.split(None, 1)[0]  # ended by any whitespace
         try:
             t = float(first)
         except ValueError:
             raise ParseError(f"bad timestamp {first!r}") from None
+        if not math.isfinite(t):
+            raise ParseError(f"timestamp {t} is not finite")
+        if t < last:
+            raise ParseError(f"timestamp {t} decreases below {last}")
+        last = t
         return t, parse(line[len(first) :].lstrip(), catalog)[0]
 
     pending: list[Row] = []
     current_t: float | None = None
-    for line_no, t, row in _read(lines, parse_stamped, catalog):
+    for _, t, row in _read(lines, parse_stamped, catalog):
         if row is None:
             continue
-        if current_t is not None and t != current_t:
-            if t < current_t:
-                raise ParseError(
-                    f"timestamp {t} decreases below {current_t}", line_no
-                )
+        if t != current_t and pending:
             yield batch(current_t, tuple(pending))
             pending = []
         current_t = t
@@ -382,39 +376,37 @@ def write_snapshot(
 
 
 def final_snapshot_lines(lines: Iterable[str]) -> list[str]:
-    """The lines of the last snapshot in a file written with periodic
-    snapshots: those after its '# final after batch N' header, or every
-    line when there is no such header."""
+    """The lines of a file written with periodic snapshots, every line up to
+    the last '# final after batch N' header blanked: read_snapshot skips
+    them and reports the file's own line numbers."""
     lines = list(lines)
     for i in range(len(lines) - 1, -1, -1):
         if lines[i].startswith(f"# {FINAL_HEADER} "):
-            return lines[i + 1 :]
+            return [""] * (i + 1) + lines[i + 1 :]
     return lines
 
 
 def read_snapshot(
     lines: Iterable[str], catalog: Catalog
 ) -> list[tuple[float, Pattern]]:
-    """Inverse of write_snapshot; comments and blank lines are skipped."""
-    entries: list[tuple[float, Pattern]] = []
-    for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split("\t")
-        if len(parts) != 3:
-            raise ParseError(
-                f"expected norm<TAB>pattern<TAB>timestamp, got {stripped!r}", line_no
-            )
-        try:
-            norm = int(parts[0])
-            t = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), line_no) from None
-        x = parse_pattern(parts[1], catalog)
-        if x.norm != norm:
-            raise ParseError(
-                f"norm column says {norm} but pattern has norm {x.norm}", line_no
-            )
-        entries.append((t, x))
-    return entries
+    """Inverse of write_snapshot; comments and blank lines are skipped, and
+    errors carry line numbers as read_instances' do."""
+    return [
+        (t, x) for _, t, x in _read(lines, _parse_snapshot_line, catalog) if x is not None
+    ]
+
+
+def _parse_snapshot_line(line: str, catalog: Catalog) -> tuple[float, Pattern]:
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ParseError(f"expected norm<TAB>pattern<TAB>timestamp, got {line!r}")
+    try:
+        norm = int(parts[0])
+        t = float(parts[2])
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    groups = _pattern_groups(parts[1])
+    have = sum(len(set(g)) for g in groups)
+    if have != norm:
+        raise ParseError(f"norm column says {norm} but pattern has norm {have}")
+    return t, Pattern(catalog.itemsets(groups))

@@ -19,9 +19,10 @@ Items = tuple[int, ...]
 class Catalog:
     """Append-only bijection between string tokens and dense ids.
 
-    Ids are given in order of first appearance.  The catalog is
-    single-threaded: interning is a plain dict read, plus a write for a
-    token not seen before.
+    Ids are given in order of first appearance, and an id, once given, is
+    never taken back: a reader that may refuse its input checks it in full
+    before it interns a token.  The catalog is single-threaded: interning
+    is a plain dict read, plus a write for a token not seen before.
     """
 
     def __init__(self, tokens: Iterable[str] = ()):
@@ -57,11 +58,14 @@ class Catalog:
         """canon_items(self.ids(tokens))."""
         return tuple(sorted(self.id_set(tokens)))
 
-    def truncate(self, size: int) -> None:
-        """Forget every token interned after the first size."""
-        for tok in self._tokens[size:]:
-            del self._ids[tok]
-        del self._tokens[size:]
+    def itemsets(self, groups: list[list[str]]) -> tuple[Items, ...]:
+        """The intern_all of each group, interning in token order; when every
+        token is known, without a Python-level call per group."""
+        try:
+            get = self._ids.__getitem__
+            return tuple([tuple(sorted(set(map(get, g)))) for g in groups])
+        except KeyError:
+            return tuple([self.intern_all(g) for g in groups])
 
     def token(self, item_id: int) -> str:
         return self._tokens[item_id]

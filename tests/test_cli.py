@@ -263,6 +263,38 @@ def test_featurize_reads_only_the_final_snapshot(tmp_path):
         assert row[:-1] == [str(1 if matches(x, z) else 0) for x in patterns]
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("1\t{zz,}x\t2", "bad pattern text '{zz,}x'"),
+        ("2\t{zz}\t2", "norm column says 2 but pattern has norm 1"),
+    ],
+)
+def test_featurize_reports_the_snapshot_file_line(tx_file, tmp_path, capsys, bad, message):
+    snap = tmp_path / "snaps.tsv"
+    snap.write_text(
+        f"# after batch 1\n1\t{{a}}\t1\n# final after batch 2\n1\t{{b}}\t2\n{bad}\n",
+        encoding="utf-8",
+    )
+    code = main([
+        "featurize", "--snapshot", str(snap), "--input", str(tx_file),
+        "--format", "tx", "--output", str(tmp_path / "features.csv"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"rps: line 5: {message}\n"
+
+
+def test_explicit_non_finite_timestamp_exits_1_with_its_line(tmp_path, capsys):
+    stream = tmp_path / "stamped.tx"
+    stream.write_text("1 a b\nnan c\n", encoding="utf-8")
+    code = main([
+        "sample", "--input", str(stream), "--format", "tx",
+        "--timestamps", "explicit", "--output", "-",
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == "rps: line 2: timestamp nan is not finite\n"
+
+
 def test_oversized_transaction_exits_1_with_one_line(tmp_path, capsys):
     big = tmp_path / "big.tx"
     big.write_text(" ".join(f"i{n}" for n in range(1100)) + "\n", encoding="utf-8")

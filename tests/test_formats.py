@@ -209,6 +209,10 @@ def test_refused_line_leaves_the_catalog_as_it_was():
         ("seq-spmf", "u v -1", "sequence line is missing the -2"),
     ]
     cat = Catalog(["a"])
+
+    def tokens():
+        return [cat.token(i) for i in range(len(cat))]
+
     for fmt, line, message in refused:
         with pytest.raises(ParseError, match=message):
             parse_instance(line, fmt, cat)
@@ -219,8 +223,26 @@ def test_refused_line_leaves_the_catalog_as_it_was():
         with pytest.raises(ParseError, match=f"line 2: {message}"):
             lines = [f"1 {good[fmt]}", f"2 {line}"]
             list(iter_batches(lines, fmt, cat, timestamps="explicit"))
-        assert [cat.token(i) for i in range(len(cat))] == ["a"], line
-    # the forgotten tokens are gone from the lookup too
+        assert tokens() == ["a"], line
+    # a decreasing stamp refuses its line before the row is read
+    for fmt, row in [("tx", "b c"), ("seq-spmf", "b -1 c -1 -2")]:
+        with pytest.raises(ParseError, match="line 2: timestamp 1.0 decreases below 2.0"):
+            lines = [f"2 {good[fmt]}", f"1 {row}"]
+            list(iter_batches(lines, fmt, cat, timestamps="explicit"))
+        assert tokens() == ["a"], row
+    # a snapshot line's pattern is checked against its norm before interning
+    for line, message in [
+        ("2\t{b}\t1", "norm column says 2 but pattern has norm 1"),
+        ("2\t<{x}{}>\t1", "empty itemset in pattern text"),
+        ("1\tnope\t1", "bad pattern text 'nope'"),
+    ]:
+        with pytest.raises(ParseError, match=f"line 2: {message}"):
+            read_snapshot(["1\t{a}\t1", line], cat)
+        assert tokens() == ["a"], line
+    for text in ["<{y}{}>", "{y,z}x", "y"]:
+        with pytest.raises(ParseError):
+            parse_pattern(text, cat)
+        assert tokens() == ["a"], text
     assert "b" not in cat and cat.intern("u") == 1
 
 
@@ -353,6 +375,12 @@ def test_iter_batches_explicit_timestamps():
     assert [b.timestamp for b in batches] == [0.5, 2.0, 2.5]
     with pytest.raises(ParseError, match="line 3: timestamp 1.0 decreases below 2.0"):
         list(iter_batches(["2 a", "", "1 b"], "tx", cat, timestamps="explicit"))
+    # the stamp is checked before the row, so it is the fault reported
+    with pytest.raises(ParseError, match="line 2: timestamp 1.0 decreases below 2.0"):
+        list(iter_batches(["2 a", "1 |label"], "tx", cat, timestamps="explicit"))
+    for stamp, value in [("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("1e999", "inf")]:
+        with pytest.raises(ParseError, match=f"line 2: timestamp {value} is not finite"):
+            list(iter_batches(["1 a", f"{stamp} b"], "tx", cat, timestamps="explicit"))
     with pytest.raises(ParseError, match="line 2: bad timestamp 'x'"):
         list(iter_batches(["# t a", "x a"], "tx", cat, timestamps="explicit"))
     with pytest.raises(ParseError, match="line 1: empty itemset"):
@@ -394,10 +422,13 @@ def test_snapshot_round_trip():
 
 def test_read_snapshot_validates():
     cat = Catalog(["a"])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 1: expected norm"):
         read_snapshot(io.StringIO("1\t{a}\n"), cat)  # missing column
-    with pytest.raises(ParseError):
-        read_snapshot(io.StringIO("2\t{a}\t1.0\n"), cat)  # norm mismatch
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 1: norm column says 2"):
+        read_snapshot(io.StringIO("2\t{a}\t1.0\n"), cat)
+    with pytest.raises(ParseError, match="line 1: invalid literal"):
         read_snapshot(io.StringIO("x\t{a}\t1.0\n"), cat)
+    # comments and blank lines count toward the line number
+    with pytest.raises(ParseError, match=r"line 4: bad pattern text '\{a,\}x'"):
+        read_snapshot(io.StringIO("# head\n1\t{a}\t1\n\n1\t{a,}x\t2\n"), cat)
     assert read_snapshot(io.StringIO("# only a comment\n\n"), cat) == []

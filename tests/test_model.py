@@ -34,6 +34,10 @@ def test_catalog_round_trip():
     assert "apple" in cat and "fig" not in cat
     assert len(cat) == 2
     assert cat.intern_all(["pear", "apple", "pear"]) == (0, 1)
+    # known groups, then groups with new tokens, interned in token order
+    assert cat.itemsets([["pear"], ["apple", "pear"]]) == ((1,), (0, 1))
+    assert cat.itemsets([["kiwi", "pear"], ["fig", "kiwi"]]) == ((1, 2), (2, 3))
+    assert [cat.token(i) for i in range(len(cat))] == ["apple", "pear", "kiwi", "fig"]
 
 
 def test_plain_itemset_canonical():
