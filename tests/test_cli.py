@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import rps.cli
 from rps.cli import main
 from rps.formats import read_snapshot
 from rps.model import Catalog, matches
@@ -186,22 +190,6 @@ def test_featurize_empty_snapshot_errors(tx_file, tmp_path, capsys):
     assert "no patterns" in capsys.readouterr().err
 
 
-def test_bench_runs(tx_file, tmp_path, capsys):
-    results = tmp_path / "bench.json"
-    code = main([
-        "bench", "--input", str(tx_file), "--format", "tx",
-        "--reservoir-size", "4", "--seed", "2", "--repeats", "2",
-        "--damping-grid", "0,0.1", "--json", str(results),
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "damping" in out and "mean_s" in out
-    rows = json.loads(results.read_text())
-    assert [r["damping"] for r in rows] == [0.0, 0.1]
-    assert all(r["batches"] == 3 for r in rows)
-    assert all(r["mean_s"] >= 0 for r in rows)
-
-
 def test_bad_measure_exits_2(tx_file, capsys):
     code = main([
         "sample", "--input", str(tx_file), "--format", "tx",
@@ -322,35 +310,28 @@ def test_wtx_weight_overflow_exits_1_with_one_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "command, extra, seed_env, message",
+    "extra, seed_env, message",
     [
-        ("bench", ["--damping-grid", "a,b"], None, "--damping-grid takes"),
-        ("bench", ["--damping-grid", ","], None, "--damping-grid takes"),
-        ("bench", ["--repeats", "0"], None, "--repeats must be >= 1, got 0"),
-        ("sample", ["--snapshot-every", "-1"], None, "--snapshot-every must be >= 0"),
-        ("sample", [], "abc", "RPS_SEED must be an integer, got 'abc'"),
-        ("sample", ["--batch-size", "0"], None, "batch size must be >= 1, got 0"),
-        ("sample", ["--batch-size", "few"], None, "bad batch size 'few'"),
+        (["--snapshot-every", "-1"], None, "--snapshot-every must be >= 0"),
+        ([], "abc", "RPS_SEED must be an integer, got 'abc'"),
+        (["--batch-size", "0"], None, "batch size must be >= 1, got 0"),
+        (["--batch-size", "few"], None, "bad batch size 'few'"),
         (
-            "sample", ["--reservoir-size", "100000000000"], None,
+            ["--reservoir-size", "100000000000"], None,
             "capacity must be in [1, 10000000], got 100000000000",
         ),
     ],
-    ids=[
-        "damping-grid", "empty-damping-grid", "repeats", "snapshot-every", "RPS_SEED",
-        "batch-size-zero", "batch-size-word", "reservoir-size",
-    ],
+    ids=["snapshot-every", "RPS_SEED", "batch-size-zero", "batch-size-word", "reservoir-size"],
 )
 def test_bad_number_exits_2_with_one_line(
-    tx_file, tmp_path, capsys, monkeypatch, command, extra, seed_env, message
+    tx_file, tmp_path, capsys, monkeypatch, extra, seed_env, message
 ):
     if seed_env is not None:
         monkeypatch.setenv("RPS_SEED", seed_env)
     out = tmp_path / "out.tsv"
     start = time.process_time()
     code = main([
-        command, "--input", str(tx_file), "--format", "tx",
-        *(["--output", str(out)] if command == "sample" else []), *extra,
+        "sample", "--input", str(tx_file), "--format", "tx", "--output", str(out), *extra,
     ])
     # refused up front, not after building or reading anything
     assert time.process_time() - start < 1.0
@@ -385,3 +366,54 @@ def test_featurize_refuses_batching_flags(tx_file, tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bench_is_gone(tx_file, capsys):
+    # perfbench/ measures performance; the CLI only samples and featurizes
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--input", str(tx_file), "--format", "tx"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"a b|x\n\xff\xfe c|y\n"
+
+
+@pytest.mark.parametrize("where", ["sample-input", "featurize-input", "featurize-snapshot"])
+def test_non_utf8_input_exits_1_with_one_line(tx_file, tmp_path, capsys, where):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    snap = tmp_path / "snap.tsv"
+    assert main(_sample_args(tx_file, snap)) == 0
+    command = {
+        "sample-input": ["sample", "--input", str(bad)],
+        "featurize-input": ["featurize", "--snapshot", str(snap), "--input", str(bad)],
+        "featurize-snapshot": ["featurize", "--snapshot", str(bad), "--input", str(tx_file)],
+    }[where]
+    capsys.readouterr()
+    code = main([*command, "--format", "tx", "--output", str(tmp_path / "out")])
+    assert code == 1
+    # the decoder reads in chunks, so the message names the file, not a line
+    assert capsys.readouterr().err == f"rps: {str(bad)!r} is not UTF-8 text (invalid start byte)\n"
+
+
+def _rps(args, stdin, **env):
+    """Run the rps module in a child process with stdin bytes and extra env."""
+    src = os.path.dirname(os.path.dirname(rps.cli.__file__))
+    env = {"PATH": os.environ.get("PATH", ""), "PYTHONPATH": src, **env}
+    return subprocess.run(
+        [sys.executable, "-m", "rps.cli", *args], input=stdin, capture_output=True, env=env
+    )
+
+
+@pytest.mark.parametrize("env", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "ascii"}], ids=["C", "ascii"])
+def test_stdin_and_stdout_are_utf8_whatever_the_locale(tmp_path, env):
+    # under the C locale Python decodes stdin with surrogateescape: left so,
+    # a bad byte becomes a token and fails only when the output is written
+    refused = _rps(["sample", "--format", "tx", "--output", str(tmp_path / "s.tsv")],
+                   NOT_UTF8, **env)
+    assert refused.returncode == 1
+    assert refused.stderr == b"rps: stdin is not UTF-8 text (invalid start byte)\n"
+    written = _rps(["sample", "--format", "tx", "--reservoir-size", "1"], "café\n".encode(), **env)
+    assert written.returncode == 0, written.stderr
+    assert written.stdout == "1\t{café}\t1\n".encode()
