@@ -61,30 +61,45 @@ class Featurizer:
 
     Each pattern is filed, by slot, under the smallest item of its first
     element.  A pattern contained in a probe has that item somewhere in the
-    probe, so a probe visits only the buckets of its own distinct items, and
-    each slot found there is confirmed with matches.  The bits equal
-    [1 if matches(x, z) else 0 for x in patterns].
+    probe, so a probe visits only the buckets of its own distinct items.  A
+    probe of one itemset confirms each slot found there with matches.  A
+    probe of several itemsets first screens it: a contained pattern's items
+    all lie in the union of the probe's itemsets, so matches is called only
+    for the slots that pass.  The set of each pattern's items is built on
+    the first such probe, so itemset streams never build it.  The bits
+    equal [1 if matches(x, z) else 0 for x in patterns].
     """
 
-    __slots__ = ("_size", "_buckets")
+    __slots__ = ("_patterns", "_buckets", "_items")
 
     def __init__(self, patterns: list[Pattern]):
-        self._size = len(patterns)
+        self._patterns = patterns
         self._buckets: dict[int, list[tuple[int, Pattern]]] = {}
         for slot, pat in enumerate(patterns):
             self._buckets.setdefault(pat.elements[0][0], []).append((slot, pat))
+        self._items: list[frozenset[int]] | None = None
 
     def __call__(self, z: Instance) -> list[int]:
-        bits = [0] * self._size
+        bits = [0] * len(self._patterns)
         buckets = self._buckets
         elements = z.elements
-        # an itemset's items are distinct already
-        items = elements[0] if len(elements) == 1 else set().union(*elements)
+        # matches is read from this module on each call, where
+        # perfbench/tracer.py counts it
+        if len(elements) == 1:
+            # an itemset's items are distinct already, and a screen costs
+            # more than the few slots of its buckets
+            for item in elements[0]:
+                for slot, pat in buckets.get(item, ()):
+                    if matches(pat, z):
+                        bits[slot] = 1
+            return bits
+        items = set().union(*elements)
+        if self._items is None:
+            self._items = [frozenset().union(*pat.elements) for pat in self._patterns]
+        items_of = self._items
         for item in items:
             for slot, pat in buckets.get(item, ()):
-                # matches is read from this module on each call, where
-                # perfbench/tracer.py counts it
-                if matches(pat, z):
+                if items_of[slot] <= items and matches(pat, z):
                     bits[slot] = 1
         return bits
 

@@ -405,6 +405,8 @@ def _parse_snapshot_line(line: str, catalog: Catalog) -> tuple[float, Pattern]:
         t = float(parts[2])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    if not math.isfinite(t):
+        raise ParseError(f"timestamp {t} is not finite")
     groups = _pattern_groups(parts[1])
     have = sum(len(set(g)) for g in groups)
     if have != norm:

@@ -318,10 +318,14 @@ class SequenceCounts:
       continuation(i, ell) = sum over j > i, q >= 1 of
                              ways(i, j)[q] * continuation(j, ell - q)
 
-    with continuation(j, 0) = 1.  Each block's ways vector is computed once,
-    and the table is filled row by row from the last position back, so deep
-    sequences cannot overflow the stack.  Only integers are kept; draw reads
-    them backwards, and block(i, j, q, r) unranks a drawn block.
+    with continuation(j, 0) = 1.  Each block's ways vector is computed once.
+    The table is filled from the last position back, so deep sequences
+    cannot overflow the stack.  Row i starts as a copy of row i + 1 and adds
+    ways(i, i + 1) * continuation(i + 1), then (ways(i, j) - ways(i + 1, j))
+    * continuation(j) for each later j, convolved over q; a j whose vector
+    did not change is skipped, as _block_ways gives it the same tuple.  Only
+    integers are kept; draw reads them backwards, and block(i, j, q, r)
+    unranks a drawn block.
     """
 
     __slots__ = ("elements", "cap", "_n", "_ways", "_table")
@@ -338,15 +342,24 @@ class SequenceCounts:
         after_norm = list(accumulate((len(e) for e in reversed(elements)), initial=0))
         after_norm.reverse()
         # _table[i + 1][ell] = continuation(i, ell)
-        table = [[1] + [0] * cap for _ in range(n + 1)]
-        for i in range(n - 1, -2, -1):
-            row = table[i + 1]
-            for j in range(i + 1, n):
-                after = table[j + 1]
-                for q, ways in enumerate(self._ways[j][i + 1]):
-                    if ways:
-                        for ell in range(q, min(cap, q + after_norm[j + 1]) + 1):
-                            row[ell] += ways * after[ell - q]
+        table: list[list[int]] = [[]] * n + [[1] + [0] * cap]
+
+        def add(row: list[int], coef: Iterable[int], j: int) -> None:
+            # row[ell] += sum over q of coef[q] * continuation(j, ell - q)
+            after = table[j + 1]
+            for q, c in enumerate(coef):
+                if c:
+                    for ell in range(q, min(cap, q + after_norm[j + 1]) + 1):
+                        row[ell] += c * after[ell - q]
+
+        block_ways = self._ways
+        for i in range(n - 2, -2, -1):
+            row = table[i + 1] = table[i + 2].copy()
+            add(row, block_ways[i + 1][i + 1], i + 1)
+            for j in range(i + 2, n):
+                now, before = block_ways[j][i + 1], block_ways[j][i + 2]
+                if now is not before:
+                    add(row, map(int.__sub__, now, before), j)
         self._table = table
 
     def ways(self, i: int, j: int) -> tuple[int, ...]:

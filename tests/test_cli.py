@@ -256,6 +256,8 @@ def test_featurize_reads_only_the_final_snapshot(tmp_path):
     [
         ("1\t{zz,}x\t2", "bad pattern text '{zz,}x'"),
         ("2\t{zz}\t2", "norm column says 2 but pattern has norm 1"),
+        ("1\t{zz}\tnan", "timestamp nan is not finite"),
+        ("1\t{zz}\t-inf", "timestamp -inf is not finite"),
     ],
 )
 def test_featurize_reports_the_snapshot_file_line(tx_file, tmp_path, capsys, bad, message):

@@ -1,11 +1,13 @@
 """Reservoir engine: acceptance probabilities, eviction, determinism."""
 
+import csv
 import math
 import pickle
 import random
 
 import pytest
 
+from rps.cli import main as cli_main
 from rps.engine import MAX_CAPACITY, Featurizer, ReservoirSampler
 from rps.errors import (
     ConfigurationError,
@@ -14,9 +16,12 @@ from rps.errors import (
     WeightOverflowError,
 )
 from rps import model
+from rps.formats import write_snapshot
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import (
     Batch,
+    Catalog,
+    Sequence,
     matches,
     pattern,
     plain_itemset,
@@ -245,6 +250,77 @@ def test_featurizer_equals_containment_on_made_cases():
     z = sequence([[A], [B, C], [A], [E]])
     assert Featurizer(sequences)(z) == [1, 1, 1, 1, 0, 0, 1]
     assert Featurizer(sequences)(z) == _containment(sequences, z)
+
+
+# (pattern, probe, its bit).  Every multi-itemset probe but the last holds
+# all the pattern's items, so the item screen passes and matches decides
+SCREENED = [
+    # the right items in the wrong order
+    (pattern([[B], [A]]), sequence([[A], [B]]), 0),
+    (pattern([[A], [B]]), sequence([[A], [B]]), 1),
+    # two elements that both fit only the probe's first itemset
+    (pattern([[A], [B]]), sequence([[A, B], [C]]), 0),
+    (pattern([[A], [B]]), sequence([[A, B], [C], [B]]), 1),
+    # a repeated element against A in a single itemset
+    (pattern([[A], [A]]), sequence([[A, B], [C]]), 0),
+    (pattern([[A], [A]]), sequence([[A, B], [C], [A]]), 1),
+    # one-element patterns against multi-itemset probes
+    (pattern([[A, C]]), sequence([[A], [C]]), 0),
+    (pattern([[A, C]]), sequence([[B], [A, C]]), 1),
+    (pattern([[C]]), sequence([[A], [B, C]]), 1),
+    # one-itemset probes, which are not screened
+    (pattern([[A], [B]]), sequence([[A, B]]), 0),
+    (pattern([[A], [A]]), sequence([[A]]), 0),
+    (pattern([[A, B]]), sequence([[A, B, C]]), 1),
+    # an item the probe lacks fails the screen
+    (pattern([[A], [D]]), sequence([[A], [B]]), 0),
+]
+
+
+def test_featurizer_screen_leaves_the_bit_to_matches():
+    patterns = [x for x, _, _ in SCREENED]
+    featurize = Featurizer(patterns)
+    for slot, (x, z, bit) in enumerate(SCREENED):
+        assert matches(x, z) == bool(bit), (x, z)
+        got = featurize(z)
+        assert got[slot] == bit, (x, z)
+        assert got == _containment(patterns, z)
+
+
+def test_feature_vector_screen_leaves_the_bit_to_matches():
+    for x, z, bit in SCREENED:
+        # the only norm-|x| pattern of the sequence x is x itself
+        spec = MeasureSpec(BaseMeasure.FREQ, min_norm=x.norm, max_norm=x.norm)
+        s = ReservoirSampler(spec, capacity=1)
+        s.process_batch(Batch(1.0, (Sequence(x.elements),)))
+        assert s.snapshot() == [(1.0, x)]
+        assert s.feature_vector(z) == [bit], (x, z)
+
+
+def test_rps_featurize_screen_leaves_the_bit_to_matches(tmp_path):
+    tokens = Catalog(["a", "b", "c", "d", "e"])
+    snap = tmp_path / "snap.tsv"
+    with snap.open("w", encoding="utf-8") as fh:
+        write_snapshot(fh, [(1.0, x) for x, _, _ in SCREENED], tokens)
+    stream = tmp_path / "probes.spmf"
+    stream.write_text("".join(
+        f"{slot}|"
+        + "".join(" ".join(map(tokens.token, e)) + " -1 " for e in z.elements)
+        + "-2\n"
+        for slot, (_, z, _) in enumerate(SCREENED)
+    ), encoding="utf-8")
+    out = tmp_path / "features.csv"
+    assert cli_main([
+        "featurize", "--snapshot", str(snap), "--input", str(stream),
+        "--format", "seq-spmf", "--output", str(out),
+    ]) == 0
+    rows = list(csv.reader(out.read_text(encoding="utf-8").splitlines()))[1:]
+    patterns = [x for x, _, _ in SCREENED]
+    assert len(rows) == len(SCREENED)
+    for slot, (row, (_, z, bit)) in enumerate(zip(rows, SCREENED)):
+        assert row[-1] == str(slot)
+        assert row[slot] == str(bit)
+        assert row[:-1] == list(map(str, _containment(patterns, z)))
 
 
 @pytest.mark.parametrize("variant", streamgen.VARIANTS)

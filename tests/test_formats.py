@@ -432,3 +432,12 @@ def test_read_snapshot_validates():
     with pytest.raises(ParseError, match=r"line 4: bad pattern text '\{a,\}x'"):
         read_snapshot(io.StringIO("# head\n1\t{a}\t1\n\n1\t{a,}x\t2\n"), cat)
     assert read_snapshot(io.StringIO("# only a comment\n\n"), cat) == []
+
+
+@pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_read_snapshot_refuses_non_finite_timestamps(stamp):
+    # write_snapshot never writes one; the stream readers refuse them too
+    cat = Catalog(["a"])
+    with pytest.raises(ParseError, match=r"line 2: timestamp (nan|-?inf) is not finite"):
+        read_snapshot(["1\t{a}\t1", f"1\t{{b}}\t{stamp}"], cat)
+    assert "b" not in cat

@@ -160,6 +160,28 @@ def test_sequence_counts_match_enumeration_on_nested_itemsets():
         assert weight_table(z, FREQ).as_dict() == want, z
 
 
+def _direct_sum_table(counts: SequenceCounts) -> list[list[int]]:
+    # reference fill: continuation(i, ell) summed directly over every later
+    # block j and every q, with no row copied and no term skipped
+    n, cap = len(counts.elements), counts.cap
+    table = [[1] + [0] * cap for _ in range(n + 1)]
+    for i in range(n - 1, -2, -1):
+        for j in range(i + 1, n):
+            for q, ways in enumerate(counts.ways(i, j)):
+                for ell in range(q, cap + 1):
+                    table[i + 1][ell] += ways * table[j + 1][ell - q]
+    return table
+
+
+def test_sequence_counts_table_equals_the_direct_sum():
+    rng = random.Random(2718)
+    for _ in range(120):
+        z = _nested_sequence(rng, rng.choice((3, 5, 8)), rng.randint(1, 10))
+        for cap in range(z.norm + 1):
+            counts = SequenceCounts(z.elements, cap)
+            assert counts._table == _direct_sum_table(counts), (z, cap)
+
+
 def test_sequence_counts_stress_bound():
     # 40 itemsets of 12 items out of 16: every block after the first sees
     # dozens of overlapping gaps (a 2^gaps inclusion-exclusion took 16 s)
