@@ -15,7 +15,8 @@ its row and label.  A tx row is the set of the line's distinct item ids; a
 wtx or seq-spmf row is its instance.  Every parser, the snapshot line's
 too, runs all the checks that can refuse a line before it interns the
 line's first token, so a refused line leaves the catalog as it was; the
-line's tokens are then interned in token order in one Catalog call.
+line's tokens are then interned in token order in one Catalog call, and a
+wtx or seq-spmf row is built without the constructor's checks, made already.
 
 parse_instance and read_instances build each line's instance at once.
 iter_batches hands tx rows to Batch.of_plain_rows, which sorts, builds and
@@ -46,6 +47,7 @@ from .model import (
     PlainItemset,
     Sequence,
     WeightedItemset,
+    _unchecked,
     plain_of_ids,
 )
 
@@ -115,8 +117,7 @@ def _parse_wtx(line: str, catalog: Catalog) -> tuple[WeightedItemset, str | None
         raise ParseError(f"duplicate item in weighted itemset {parts[0].strip()!r}")
     if min(weights) <= 0.0:
         raise ParseError(f"item weights must be positive: {tuple(weights)!r}")
-    ids = catalog.ids(tokens)
-    z = WeightedItemset(*zip(*sorted(zip(ids, weights))))
+    z = _unchecked(WeightedItemset, *zip(*sorted(zip(catalog.ids(tokens), weights))))
     return z, (label.strip() if sep else None)
 
 
@@ -149,7 +150,7 @@ def _parse_seq(line: str, catalog: Catalog) -> tuple[Sequence, str | None]:
         raise ParseError("sequence line is missing the -2 end marker")
     if not groups:
         raise ParseError("empty sequence")
-    return Sequence(catalog.itemsets(groups)), label
+    return _unchecked(Sequence, catalog.itemsets(groups)), label
 
 
 _PARSERS = {"tx": _parse_tx, "wtx": _parse_wtx, "seq-spmf": _parse_seq}

@@ -208,6 +208,19 @@ class Pattern:
 _set = object.__setattr__
 
 
+def _unchecked(cls: type, *values):
+    """cls(*values), a Sequence with a fresh memo, without __post_init__'s
+    checks: only for rps.formats' parsers, which check each line in full, and
+    rps.sampling's draws, whose items are distinct and sorted by construction."""
+    obj = object.__new__(cls)
+    _set(obj, cls.__slots__[0], values[0])
+    if len(values) > 1:  # a WeightedItemset's weights
+        _set(obj, cls.__slots__[1], values[1])
+    elif cls is Sequence:
+        _set(obj, "memo", {})
+    return obj
+
+
 class Batch:
     """Timestamped group of same-variant instances; may be empty.
 

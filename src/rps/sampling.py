@@ -1,10 +1,11 @@
 """Single-batch pattern draws.
 
 A pattern is drawn from a batch in three stages, each a discrete draw over
-precomputed mass: pick an instance proportionally to its table total, pick a
-norm from that instance's table, then pick a pattern uniformly by measure
-mass among the instance's patterns of that norm.  The staged draw follows
-the exact batch law m(x, B) / w(B) without enumerating patterns.
+precomputed mass: pick an instance proportionally to its mass, pick a norm
+by the prefix sums of its table (cached, or for a weighted itemset formed
+without building it), then pick a pattern uniformly by measure mass among
+the instance's patterns of that norm.  The staged draw follows the exact
+batch law m(x, B) / w(B) without enumerating patterns.
 
 A sequence pattern is drawn by its own counts (SequenceCounts.draw), which
 read the first-occurrence counting table backwards, block by block.
@@ -20,28 +21,30 @@ from itertools import accumulate
 from random import Random
 
 from .measures import MeasureSpec
-from .model import (
-    Batch,
-    Instance,
-    Pattern,
-    PlainItemset,
-    Sequence,
-    WeightedItemset,
-)
-from .weighting import NormWeightTable, batch_weight, sequence_counts, weight_table
+from .model import Batch, Instance, Pattern, PlainItemset, Sequence, WeightedItemset
+from .model import _unchecked
+from .weighting import NormWeightTable, _weighted_masses, batch_weight
+from .weighting import sequence_counts, weight_table
 
 
 def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
     """k distinct indices uniform over range(n), by partial Fisher-Yates.
 
-    Sparse dict bookkeeping keeps this O(k) regardless of n.
+    Each index takes the bits randrange(i, n) would on CPython 3.10-3.13;
+    sparse dict bookkeeping keeps this O(k) regardless of n.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    getrandbits = rng.getrandbits
     swap: dict[int, int] = {}
     out: list[int] = []
     for i in range(k):
-        j = rng.randrange(i, n)
+        width = n - i
+        bits = width.bit_length()
+        j = getrandbits(bits)
+        while j >= width:
+            j = getrandbits(bits)
+        j += i
         out.append(swap.get(j, j))
         swap[j] = swap.get(i, i)
     return out
@@ -55,37 +58,42 @@ def draw_norm(table: NormWeightTable, rng: Random) -> int:
 
 
 def draw_pattern_of_norm(
-    z: Instance, ell: int, spec: MeasureSpec, rng: Random
+    z: Instance, ell: int, spec: MeasureSpec, rng: Random, weight_sums: list | None = None
 ) -> Pattern:
     """Pattern of norm ell from z, proportional to measure mass.
 
     Within a fixed norm the norm factor is a common constant, so plain
     itemsets and sequences draw uniformly over distinct patterns, and
-    weighted itemsets draw proportionally to summed item weights.
+    weighted itemsets by summed item weights (weight_sums: their prefix sums).
     """
-    if isinstance(z, PlainItemset):
-        idxs = sample_distinct_indices(rng, z.norm, ell)
-        return Pattern((tuple(sorted(z.items[i] for i in idxs)),))
-    if isinstance(z, WeightedItemset):
-        return _draw_weighted_pattern(z, ell, rng)
     if isinstance(z, Sequence):
-        return Pattern(sequence_counts(z, spec.norm_cap(z.norm)).draw(ell, rng))
-    raise TypeError(f"not an instance: {type(z).__name__}")
-
-
-def _draw_weighted_pattern(z: WeightedItemset, ell: int, rng: Random) -> Pattern:
-    # pivot item i with probability w_i / W, then a uniform (ell-1)-subset of
-    # the rest: P(x) = sum_{i in x} w_i / (W * C(n-1, ell-1)), the measure
-    # mass of x over the table entry at ell
-    n = z.norm
+        return _unchecked(Pattern, sequence_counts(z, spec.norm_cap(z.norm)).draw(ell, rng))
+    if not isinstance(z, (PlainItemset, WeightedItemset)):
+        raise TypeError(f"not an instance: {type(z).__name__}")
+    n, items = z.norm, z.items
     if not 1 <= ell <= n:
         raise ValueError(f"norm {ell} outside [1, {n}]")
-    cum = list(accumulate(z.weights))
-    pivot = bisect_right(cum, rng.random() * cum[-1])
-    rest = sample_distinct_indices(rng, n - 1, ell - 1)
-    chosen = [z.items[pivot]]
-    chosen.extend(z.items[i if i < pivot else i + 1] for i in rest)
-    return Pattern((tuple(sorted(chosen)),))
+    if isinstance(z, PlainItemset):
+        chosen = [items[i] for i in sample_distinct_indices(rng, n, ell)]
+    else:
+        # pivot item i with probability w_i / W, then a uniform (ell-1)-subset
+        # of the rest: P(x) = sum_{i in x} w_i / (W * C(n-1, ell-1)), the
+        # measure mass of x over the table entry at ell
+        sums = weight_sums or list(accumulate(z.weights))
+        pivot = bisect_right(sums, rng.random() * sums[-1])
+        rest = sample_distinct_indices(rng, n - 1, ell - 1)
+        chosen = [items[pivot], *(items[i if i < pivot else i + 1] for i in rest)]
+    chosen.sort()
+    return _unchecked(Pattern, (tuple(chosen),))
+
+
+def _draw_plan(z: Instance, spec: MeasureSpec) -> tuple:
+    # z's norms of positive mass, their prefix sums, its weight_sums or None
+    if isinstance(z, WeightedItemset):
+        norms, masses = zip(*_weighted_masses(z, spec))
+        return norms, list(accumulate(masses)), list(accumulate(z.weights))
+    table = weight_table(z, spec)
+    return table.norms, table.cumulative, None
 
 
 def sample_from_batch(
@@ -112,16 +120,17 @@ def sample_from_batch(
     total = cum[-1] if cum else 0.0
     if total <= 0:
         raise ValueError("batch has no pattern mass under this measure")
-    # tables only for the instances a draw picks
-    tables: dict[int, NormWeightTable] = {}
+    instances = batch.instances
+    plans: dict[int, tuple] = {}  # only for the instances a draw picks
     out: list[Pattern] = []
     for _ in range(count):
         # bisect_right skips zero-weight instances even when the point lands
         # exactly on their repeated prefix value
         zi = bisect_right(cum, rng.random() * total)
-        table = tables.get(zi)
-        if table is None:
-            table = tables[zi] = weight_table(batch.instances[zi], spec)
-        ell = draw_norm(table, rng)
-        out.append(draw_pattern_of_norm(batch.instances[zi], ell, spec, rng))
+        plan = plans.get(zi)
+        if plan is None:
+            plan = plans[zi] = _draw_plan(instances[zi], spec)
+        norms, norm_sums, weight_sums = plan
+        ell = norms[bisect_right(norm_sums, rng.random() * norm_sums[-1])]
+        out.append(draw_pattern_of_norm(instances[zi], ell, spec, rng, weight_sums))
     return out

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from random import Random
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import ConfigurationError, WeightOverflowError
 from .measures import MeasureSpec, format_measure
@@ -153,16 +153,27 @@ def _itemset_shape(
     return _table(variant, n, spec, masses)
 
 
-def _weighted_masses(z: WeightedItemset, spec: MeasureSpec) -> list[tuple[int, float]]:
-    try:
-        total = z.total_weight
+def _weighted_masses(z: WeightedItemset, spec: MeasureSpec) -> Iterator[tuple[int, float]]:
+    """z's positive table entries (ell, mass) in norm order; _table reports overflow."""
+    total = z.total_weight
+    for ell, c, f in _itemset_shape(WeightedItemset, z.norm, spec):
         # (W * c) * f, in this order, is the float product of the closed form
-        return [
-            (ell, total * c * f)
-            for ell, c, f in _itemset_shape(WeightedItemset, z.norm, spec)
-        ]
+        if (w := total * c * f) > 0:
+            yield ell, w
+
+
+def _weighted_weight(z: WeightedItemset, spec: MeasureSpec, shape: tuple) -> float:
+    # the sum of _weighted_masses left to right, like the table's, without the pairs
+    try:
+        weight, total = z.total_weight, 0.0
+        for _, c, f in shape:
+            if (w := weight * c * f) > 0:
+                total += w
+        if total < math.inf:
+            return total
     except OverflowError:  # W or a term C(n-1, ell-1) past the float range
-        raise _overflow(WeightedItemset, z.norm, spec) from None
+        pass
+    raise _overflow(WeightedItemset, z.norm, spec)
 
 
 def _sequence_table(z: Sequence, spec: MeasureSpec) -> NormWeightTable:
@@ -207,19 +218,7 @@ weight_table.cache_info = _itemset_shape.cache_info
 
 
 def instance_weight(z: Instance, spec: MeasureSpec) -> float:
-    """Total measure mass of all distinct patterns contained in z.
-
-    Equal, bit for bit, to weight_table(z, spec).total; a weighted itemset
-    gets it by the same left-to-right sum without building its table.
-    """
-    if isinstance(z, WeightedItemset):
-        total = 0.0
-        for _, w in _weighted_masses(z, spec):
-            if w > 0:
-                total += w
-        if total == math.inf:
-            raise _overflow(WeightedItemset, z.norm, spec)
-        return total
+    """Total measure mass of all distinct patterns contained in z."""
     return weight_table(z, spec).total
 
 
@@ -228,15 +227,18 @@ def batch_weight(batch: Batch, spec: MeasureSpec) -> tuple[float, list[float]]:
 
     Rows that are sets of item ids (Batch.of_plain_rows) are plain itemsets,
     weighed by their sizes alone without building them: one table lookup per
-    distinct size.  Rows that are instances are weighed by instance_weight.
-    The masses are the floats instance_weight gives for the batch's
-    instances either way.
+    distinct size.  Weighted itemsets look their (size, spec) terms up once
+    per distinct size too, and sum them without a table.  Other rows are
+    weighed by instance_weight, whose floats the masses equal either way.
     """
     rows = batch.rows
     if rows and isinstance(rows[0], set):
         sizes = list(map(len, rows))
         mass_of = {n: _itemset_shape(PlainItemset, n, spec).total for n in set(sizes)}
         masses = list(map(mass_of.__getitem__, sizes))
+    elif batch.variant is WeightedItemset:
+        shapes = {n: _itemset_shape(WeightedItemset, n, spec) for n in {z.norm for z in rows}}
+        masses = [_weighted_weight(z, spec, shapes[z.norm]) for z in rows]
     else:
         masses = [instance_weight(z, spec) for z in rows]
     try:

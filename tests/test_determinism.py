@@ -10,9 +10,16 @@ here as a mismatch.
 from __future__ import annotations
 
 import hashlib
+import importlib
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
+
+import rps
+import rps.formats
 
 from rps.engine import ReservoirSampler
 from rps.formats import iter_batches, serialize_instance
@@ -163,3 +170,34 @@ def test_reader_path_is_pinned(case):
     a batch's instances are read, so a change to interning order, to batch
     assembly or to what the engine weighs shows up here."""
     assert reader_digests(*case) == READER_DIGESTS[case]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench's workloads and passes modules, imported from its directory
+    as its own scripts import them."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield importlib.import_module("workloads"), importlib.import_module("passes")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("name", ["plain-landmark", "weighted-damped", "sequence-damped"])
+def test_benchmark_seed_1_digests_are_pinned(perfbench, name):
+    """The benchmark's reader on the seed-1 stream holds the reservoir, and
+    gives the first round of feature vectors, of digests_seed_1 in
+    perfbench/baseline.json: a whole workload through the text reader."""
+    workloads, passes = perfbench
+    w = workloads.BY_NAME[name]
+    stream = workloads.generate_stream(w, 1)
+    lines = workloads.to_lines(w.fmt, [z for b in stream for z in b])
+    reader, probes, snapshot = passes.prepare_reader(rps, w, lines, 1)
+    bits = ["".join(map(str, reader.feature_vector(z))) for z in probes]
+    with open(PERFBENCH / "baseline.json", encoding="utf-8") as fh:
+        want = json.load(fh)["digests_seed_1"][name]
+    assert passes.snapshot_digest(snapshot) == want["reservoir"]
+    assert passes.bits_digest(bits) == want["features"]

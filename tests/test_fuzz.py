@@ -6,6 +6,7 @@ or replacing a few characters.  The lines stay as short as the seeds, so
 no mutant makes sequence counting slow; that cost has its own tests.
 """
 
+import math
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from rps.engine import ReservoirSampler
 from rps.errors import RpsError
 from rps.formats import FORMATS, iter_batches, parse_instance, read_snapshot
 from rps.measures import parse_measure
-from rps.model import Catalog
+from rps.model import Catalog, Sequence, WeightedItemset
 
 SEEDS = {
     "tx": ["a b c|x", "b c", "a|y", "c d e a"],
@@ -42,6 +43,22 @@ def _mutate(rng, line):
         else:
             chars[i:i + 1] = rng.choice(ALPHABET)
     return "".join(chars)
+
+
+# tokens for random lines, in an order that is not their id order
+TOKENS = ["b", "a", "d", "10", "c", "2", "x", "1", "e9", "f"]
+
+
+def _random_line(rng, fmt):
+    """A valid wtx or seq-spmf line of a few items in shuffled token order."""
+    if fmt == "wtx":
+        tokens = rng.sample(TOKENS, rng.randint(1, 6))
+        weights = [rng.choice([str(rng.randint(1, 9)), f"{rng.uniform(0.01, 50):.3f}"])
+                   for _ in tokens]
+        total = math.fsum(map(float, weights))
+        return f"{' '.join(tokens)}:{total!r}:{' '.join(weights)}"
+    groups = [rng.choices(TOKENS, k=rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+    return " ".join(" ".join(g) + " -1" for g in groups) + " -2"
 
 
 def _stream(rng, fmt, explicit):
@@ -134,3 +151,27 @@ def test_refused_batch_leaves_the_sampler_as_it_was():
                 refusals += 1
                 assert _state(sampler) == before
     assert refusals > 0
+
+
+@pytest.mark.parametrize("fmt", ["wtx", "seq-spmf"])
+def test_parsed_rows_equal_the_checked_constructors(fmt):
+    """wtx and seq-spmf rows are built without the constructors' checks; every
+    row a parser accepts must pass them and equal what they build."""
+    rng = random.Random(f"trusted-{fmt}")
+    catalog = Catalog()
+    accepted = 0
+    while accepted < 1000:
+        line = rng.choice(SEEDS[fmt]) if rng.random() < 0.3 else _random_line(rng, fmt)
+        if rng.random() < 0.5:
+            line = _mutate(rng, line)
+        try:
+            z, _ = parse_instance(line, fmt, catalog)
+        except RpsError:
+            continue
+        if fmt == "wtx":
+            checked = WeightedItemset(z.items, z.weights)
+        else:
+            checked = Sequence(z.elements)
+            assert z.memo == {} and z.memo is not checked.memo
+        assert z == checked and hash(z) == hash(checked), line
+        accepted += 1

@@ -1,7 +1,9 @@
 """Staged draws: index sampling, norm draws, pattern draws, batch draws."""
 
+import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,14 +12,14 @@ import pytest
 
 from rps import oracle
 from rps.measures import BaseMeasure, MeasureSpec
-from rps.model import Batch, Pattern, plain_itemset, sequence, weighted_itemset
+from rps.model import Batch, Pattern, matches, plain_itemset, sequence, weighted_itemset
 from rps.sampling import (
     draw_norm,
     draw_pattern_of_norm,
     sample_distinct_indices,
     sample_from_batch,
 )
-from rps.weighting import batch_weight, weight_table
+from rps.weighting import NormWeightTable, batch_weight, weight_table
 
 import streamgen
 from conftest import A, B, C, D
@@ -37,6 +39,29 @@ def test_sample_distinct_indices_basics():
         sample_distinct_indices(rng, 3, 4)
     with pytest.raises(ValueError):
         sample_distinct_indices(rng, 3, -1)
+
+
+def _randrange_indices(rng, n, k):
+    """The partial Fisher-Yates with one randrange(i, n) per index."""
+    swap = {}
+    out = []
+    for i in range(k):
+        j = rng.randrange(i, n)
+        out.append(swap.get(j, j))
+        swap[j] = swap.get(i, i)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 1000, 2**31 + 1])
+def test_sample_distinct_indices_consume_as_randrange(n):
+    # same indices and same generator state after, for every k; several
+    # seeds and calls in a row reach the retries of a width just past a
+    # power of two
+    for seed in range(4):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for k in range(min(n, 40) + 1):
+            assert sample_distinct_indices(ours, n, k) == _randrange_indices(ref, n, k)
+            assert ours.getstate() == ref.getstate(), (seed, k)
 
 
 def test_sample_distinct_indices_uniform():
@@ -204,3 +229,41 @@ def test_batch_draw_norm_band():
     batch = Batch(1.0, (sequence([[A], [B], [A, C], [B]]),))
     for x in sample_from_batch(batch, spec, 2_000, rng):
         assert 2 <= x.norm <= 3
+
+
+def test_weighted_batch_draw_builds_no_table(monkeypatch):
+    # the norm comes from prefix sums equal to the table's, bit for bit, so
+    # the draws are those of draw_norm over weight_table with the same seed
+    rng = random.Random(13)
+    batch = Batch(1.0, tuple(streamgen.random_weighted(rng, 30, 12) for _ in range(20)))
+    for spec in (UTIL, MeasureSpec(BaseMeasure.AVGUTIL, min_norm=2, max_norm=5)):
+        ref = random.Random(5)
+        cum = list(itertools.accumulate(batch_weight(batch, spec)[1]))
+        want = []
+        for _ in range(300):
+            z = batch.instances[bisect_right(cum, ref.random() * cum[-1])]
+            ell = draw_norm(weight_table(z, spec), ref)
+            want.append(draw_pattern_of_norm(z, ell, spec, ref))
+
+        def refuse(self):
+            raise AssertionError("a NormWeightTable was built")
+
+        with monkeypatch.context() as m:
+            m.setattr(NormWeightTable, "__post_init__", refuse)
+            with pytest.raises(AssertionError, match="was built"):
+                weight_table(batch.instances[0], spec)
+            got = sample_from_batch(batch, spec, 300, random.Random(5))
+        assert got == want
+
+
+def test_drawn_patterns_pass_the_checked_constructor():
+    # draws build their patterns without Pattern's checks
+    rng = random.Random(14)
+    for variant in streamgen.VARIANTS:
+        for spec in streamgen.base_measures(variant):
+            for _ in range(20):
+                batch = streamgen.random_batch(rng, variant)
+                for x in sample_from_batch(batch, spec, 20, rng):
+                    checked = Pattern(x.elements)
+                    assert x == checked and hash(x) == hash(checked)
+                    assert any(matches(x, z) for z in batch.instances)

@@ -321,6 +321,9 @@ def test_itemset_memo_holds_one_entry_per_shape():
     weighting._itemset_shape.cache_clear()
     rng = random.Random(8)
     shapes = set()
+    # lookups the weighing alone makes: one per plain instance, and one per
+    # distinct size of a weighted batch
+    weighed = 0
     for variant, spec, make in (
         (PlainItemset, FREQ, lambda: streamgen.random_plain(rng, 300, 40)),
         (WeightedItemset, UTIL, lambda: streamgen.random_weighted(rng, 300, 40)),
@@ -328,11 +331,13 @@ def test_itemset_memo_holds_one_entry_per_shape():
         sampler = ReservoirSampler(spec, capacity=20, seed=1)
         for t in range(1, 101):
             batch = Batch(float(t), tuple(make() for _ in range(50)))
-            shapes.update((variant, z.norm, spec) for z in batch.instances)
+            sizes = [z.norm for z in batch.instances]
+            shapes.update((variant, n, spec) for n in sizes)
+            weighed += len(sizes) if variant is PlainItemset else len(set(sizes))
             sampler.process_batch(batch)
     info = weight_table.cache_info()
     assert info.currsize == info.misses == len(shapes)
-    assert info.hits + info.misses > 10_000
+    assert info.hits + info.misses >= weighed > 7_500
 
 
 @pytest.mark.parametrize(
