@@ -155,9 +155,9 @@ class WeightedItemset:
 class Sequence:
     """Ordered tuple of non-empty itemsets.
 
-    memo holds what rps.weighting derives from the elements (distinct-pattern
-    counts per norm cap, weight tables per measure), so it is freed with the
-    sequence.  It takes no part in equality, hashing or repr.
+    memo holds what rps.weighting derives from the elements, its distinct-
+    pattern counts per norm cap, so they are freed with the sequence.  It
+    takes no part in equality, hashing or repr.
     """
 
     elements: tuple[Items, ...]
@@ -173,7 +173,7 @@ class Sequence:
 
     @property
     def norm(self) -> int:
-        return sum(len(e) for e in self.elements)
+        return sum(map(len, self.elements))
 
     def __reduce__(self):
         # a pickle or copy carries the elements only; memo is derived
@@ -198,7 +198,7 @@ class Pattern:
 
     @property
     def norm(self) -> int:
-        return sum(len(e) for e in self.elements)
+        return sum(map(len, self.elements))
 
     @property
     def is_itemset(self) -> bool:

@@ -2,13 +2,13 @@
 
 A pattern is drawn from a batch in three stages, each a discrete draw over
 precomputed mass: pick an instance proportionally to its mass, pick a norm
-by the prefix sums of its table (cached, or for a weighted itemset formed
-without building it), then pick a pattern uniformly by measure mass among
+by the prefix sums of its table (a plain itemset's cached one, else formed
+from its masses without building it), then pick a pattern by measure mass among
 the instance's patterns of that norm.  The staged draw follows the exact
 batch law m(x, B) / w(B) without enumerating patterns.
 
 A sequence pattern is drawn by its own counts (SequenceCounts.draw), which
-read the first-occurrence counting table backwards, block by block.
+read the first-occurrence counting rows backwards, block by block.
 
 All randomness comes from the caller's random.Random, consumed in the fixed
 order instance, norm, pattern; replaying a seed replays the draws.
@@ -23,7 +23,7 @@ from random import Random
 from .measures import MeasureSpec
 from .model import Batch, Instance, Pattern, PlainItemset, Sequence, WeightedItemset
 from .model import _unchecked
-from .weighting import NormWeightTable, _weighted_masses, batch_weight
+from .weighting import NormWeightTable, _masses, batch_weight
 from .weighting import sequence_counts, weight_table
 
 
@@ -89,9 +89,10 @@ def draw_pattern_of_norm(
 
 def _draw_plan(z: Instance, spec: MeasureSpec) -> tuple:
     # z's norms of positive mass, their prefix sums, its weight_sums or None
-    if isinstance(z, WeightedItemset):
-        norms, masses = zip(*_weighted_masses(z, spec))
-        return norms, list(accumulate(masses)), list(accumulate(z.weights))
+    weighted = isinstance(z, WeightedItemset)
+    if weighted or isinstance(z, Sequence):
+        norms, masses = zip(*_masses(z, spec))
+        return norms, list(accumulate(masses)), list(accumulate(z.weights)) if weighted else None
     table = weight_table(z, spec)
     return table.norms, table.cumulative, None
 

@@ -13,26 +13,20 @@ subsequence patterns of norm ell.  The weighted identity holds because each
 item appears in C(n-1, ell-1) of the ell-subsets, so the summed utilities of
 all ell-subsets telescope to W * C(n-1, ell-1).
 
-D(ell) cannot enumerate (it is exponential in ell), so it is computed by a
-first-occurrence DP: a pattern is generated by placing each block at the
-earliest position where it fits after the previous block, which makes the
-generating walk unique per pattern.  A block placed at position j after
-position i must not be contained in any intermediate itemset; the number of
-admissible q-subsets of I_j is C(|I_j|, q) minus an inclusion-exclusion sum
-over the gap intersections I_j & I_m, i < m < j.  That sum is kept as a tally
-of signed coefficients per distinct intersection set, and for a fixed j it
-grows by one gap as i moves left, so each block's count vector costs one
-fold instead of a pass over every subfamily of gaps.
+D(ell) is counted by a first-occurrence DP (SequenceCounts): each block is
+placed at the earliest position where it fits after the previous one, so a
+pattern has one generating walk.  A block at j after i must lie in no
+itemset between them; its admissible q-subsets are C(|I_j|, q) minus an
+inclusion-exclusion over the gap intersections, kept as signed
+coefficients per distinct intersection (a bit mask), which grows by one
+fold as i moves left.  Count vectors are packed ints, one digit per norm, so
+a convolution is one int product.  A draw reads the counts backwards and
+unranks each block from its tally, without enumerating subsets.
 
-A pattern is drawn by reading the counting table backwards, each block
-unranked from its tally one item at a time in lexicographic order, without
-enumerating subsets (SequenceCounts.draw and block).
-
-Each table is cached on what it depends on.  A plain itemset's table is a
-function of (n, spec) alone, so one table serves every itemset of that size.
-A weighted itemset's table multiplies its own W into cached (n, spec) terms.
-A sequence's counts and tables depend on its whole structure and live with
-the sequence, in Sequence.memo: they are freed with it.
+A plain itemset's table depends on (n, spec) alone and is cached; a weighted
+itemset's multiplies its own W into cached (n, spec) terms.  A sequence's
+counts live in Sequence.memo and are freed with it; its masses are its
+counts times cached norm factors, so weighing and drawing build no table.
 
 Cost limits: counting admissible blocks is a hitting-set count, so the
 tally can still hold exponentially many sets when every gap intersection is
@@ -82,8 +76,7 @@ class NormWeightTable:
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "NormWeightTable":
         kept = [(ell, w) for ell, w in pairs if w > 0]
-        norms = tuple(ell for ell, _ in kept)
-        weights = tuple(w for _, w in kept)
+        norms, weights = map(tuple, zip(*kept)) if kept else ((), ())
         return cls(norms, weights, tuple(accumulate(weights)))
 
     @property
@@ -100,16 +93,12 @@ class NormWeightTable:
         return dict(zip(self.norms, self.weights))
 
 
-def _norm_range(spec: MeasureSpec, instance_norm: int) -> range:
-    return range(spec.min_norm, spec.norm_cap(instance_norm) + 1)
-
-
 def _overflow(variant: type, n: int, spec: MeasureSpec) -> WeightOverflowError:
     return WeightOverflowError(
         f"pattern mass of a {n}-item {variant.__name__} under "
         f"{format_measure(spec)} exceeds the largest float "
-        f"({sys.float_info.max:.3g}): an itemset's mass grows like 2^n, which "
-        f"limits plain itemsets to about 1000 items"
+        f"({sys.float_info.max:.3g}): a mass grows like 2^n in the n items, "
+        f"which limits plain itemsets to about 1000 items"
     )
 
 
@@ -125,11 +114,15 @@ def _table(
     return table
 
 
-def _check_supports(variant: type, spec: MeasureSpec) -> None:
+@lru_cache(maxsize=256)
+def _norm_factors(variant: type, spec: MeasureSpec, cap: int) -> tuple[tuple[int, float], ...]:
+    """(ell, f(ell)) for ell = min_norm .. cap if spec is defined for variant;
+    bounded, as a stream of sequences may bring a cap per distinct norm."""
     if not spec.supports(variant):
         raise ConfigurationError(
             f"{spec.base.value} is not defined for {variant.__name__} instances"
         )
+    return tuple((ell, spec.norm_utility(ell)) for ell in range(spec.min_norm, cap + 1))
 
 
 @lru_cache(maxsize=None)
@@ -141,58 +134,48 @@ def _itemset_shape(
     (ell, C(n-1, ell-1), f(ell)) terms that a weighted itemset's total W
     multiplies.  Unbounded: keys are bounded by the distinct itemset sizes
     of a stream times the few specs in use."""
-    _check_supports(variant, spec)
+    factors = _norm_factors(variant, spec, spec.norm_cap(n))
     if variant is WeightedItemset:
-        return tuple(
-            (ell, math.comb(n - 1, ell - 1), spec.norm_utility(ell))
-            for ell in _norm_range(spec, n)
-        )
-    masses = (
-        (ell, math.comb(n, ell) * spec.norm_utility(ell)) for ell in _norm_range(spec, n)
-    )
-    return _table(variant, n, spec, masses)
+        return tuple((ell, math.comb(n - 1, ell - 1), f) for ell, f in factors)
+    return _table(variant, n, spec, ((ell, math.comb(n, ell) * f) for ell, f in factors))
 
 
-def _weighted_masses(z: WeightedItemset, spec: MeasureSpec) -> Iterator[tuple[int, float]]:
-    """z's positive table entries (ell, mass) in norm order; _table reports overflow."""
-    total = z.total_weight
-    for ell, c, f in _itemset_shape(WeightedItemset, z.norm, spec):
-        # (W * c) * f, in this order, is the float product of the closed form
-        if (w := total * c * f) > 0:
+def _masses(z: WeightedItemset | Sequence, spec: MeasureSpec) -> Iterator[tuple[int, float]]:
+    """z's positive table entries (ell, mass) in norm order, W * C(n-1,
+    ell-1) * f(ell) or count(ell) * f(ell); _table reports overflow."""
+    if isinstance(z, WeightedItemset):
+        weight, terms = z.total_weight, _itemset_shape(WeightedItemset, z.norm, spec)
+    else:
+        weight, terms = 1.0, _sequence_terms(z, spec)
+    for ell, c, f in terms:
+        # (W * c) * f, in this order, is the float product of the closed form;
+        # 1.0 * c is float(c), so a sequence's mass is c * f exactly
+        if (w := weight * c * f) > 0:
             yield ell, w
 
 
-def _weighted_weight(z: WeightedItemset, spec: MeasureSpec, shape: tuple) -> float:
-    # the sum of _weighted_masses left to right, like the table's, without the pairs
+def _sequence_terms(z: Sequence, spec: MeasureSpec) -> Iterator[tuple[int, int, float]]:
+    # (ell, count(ell), f(ell)) per admissible norm; no norm, no counts built
+    cap = spec.norm_cap(z.norm)
+    factors = _norm_factors(Sequence, spec, cap)
+    if factors:
+        counts = sequence_counts(z, cap)._by_norm
+        for ell, f in factors:
+            yield ell, counts[ell], f
+
+
+def _summed(weight: float, terms: Iterable, variant: type, n: int, spec: MeasureSpec) -> float:
+    # the sum of _masses left to right, like the table's total, without the pairs
     try:
-        weight, total = z.total_weight, 0.0
-        for _, c, f in shape:
+        total = 0.0
+        for _, c, f in terms:
             if (w := weight * c * f) > 0:
                 total += w
         if total < math.inf:
             return total
-    except OverflowError:  # W or a term C(n-1, ell-1) past the float range
+    except OverflowError:  # W or a pattern count past the float range
         pass
-    raise _overflow(WeightedItemset, z.norm, spec)
-
-
-def _sequence_table(z: Sequence, spec: MeasureSpec) -> NormWeightTable:
-    # a sequence's table depends on its whole structure: kept in z.memo
-    table = z.memo.get(spec)
-    if table is None:
-        _check_supports(Sequence, spec)
-        cap = spec.norm_cap(z.norm)
-        if cap < spec.min_norm:
-            table = NormWeightTable.from_pairs(())
-        else:
-            counts = sequence_counts(z, cap)
-            masses = (
-                (ell, counts.count(ell) * spec.norm_utility(ell))
-                for ell in _norm_range(spec, z.norm)
-            )
-            table = _table(Sequence, z.norm, spec, masses)
-        z.memo[spec] = table
-    return table
+    raise _overflow(variant, n, spec)
 
 
 def weight_table(z: Instance, spec: MeasureSpec) -> NormWeightTable:
@@ -200,16 +183,15 @@ def weight_table(z: Instance, spec: MeasureSpec) -> NormWeightTable:
 
     A plain itemset's table depends only on its size, so all plain itemsets
     of one size share one cached table.  A weighted itemset's table is built
-    from the cached (size, spec) terms times its own total weight.  A
-    sequence's table depends on its whole structure and is cached per
-    instance.
+    from the cached (size, spec) terms times its own total weight, and a
+    sequence's from its cached counts: neither table is kept.
     """
     if isinstance(z, PlainItemset):
         return _itemset_shape(PlainItemset, z.norm, spec)
     if isinstance(z, WeightedItemset):
-        return _table(WeightedItemset, z.norm, spec, _weighted_masses(z, spec))
+        return _table(WeightedItemset, z.norm, spec, _masses(z, spec))
     if isinstance(z, Sequence):
-        return _sequence_table(z, spec)
+        return _table(Sequence, z.norm, spec, _masses(z, spec))
     raise TypeError(f"not an instance: {type(z).__name__}")
 
 
@@ -219,6 +201,8 @@ weight_table.cache_info = _itemset_shape.cache_info
 
 def instance_weight(z: Instance, spec: MeasureSpec) -> float:
     """Total measure mass of all distinct patterns contained in z."""
+    if isinstance(z, Sequence):
+        return _summed(1.0, _sequence_terms(z, spec), Sequence, z.norm, spec)
     return weight_table(z, spec).total
 
 
@@ -228,8 +212,8 @@ def batch_weight(batch: Batch, spec: MeasureSpec) -> tuple[float, list[float]]:
     Rows that are sets of item ids (Batch.of_plain_rows) are plain itemsets,
     weighed by their sizes alone without building them: one table lookup per
     distinct size.  Weighted itemsets look their (size, spec) terms up once
-    per distinct size too, and sum them without a table.  Other rows are
-    weighed by instance_weight, whose floats the masses equal either way.
+    per distinct size too, and sum them without a table, as sequences sum
+    their masses.  The floats equal instance_weight's either way.
     """
     rows = batch.rows
     if rows and isinstance(rows[0], set):
@@ -238,7 +222,9 @@ def batch_weight(batch: Batch, spec: MeasureSpec) -> tuple[float, list[float]]:
         masses = list(map(mass_of.__getitem__, sizes))
     elif batch.variant is WeightedItemset:
         shapes = {n: _itemset_shape(WeightedItemset, n, spec) for n in {z.norm for z in rows}}
-        masses = [_weighted_weight(z, spec, shapes[z.norm]) for z in rows]
+        masses = [
+            _summed(z.total_weight, shapes[z.norm], WeightedItemset, z.norm, spec) for z in rows
+        ]
     else:
         masses = [instance_weight(z, spec) for z in rows]
     try:
@@ -251,10 +237,10 @@ def batch_weight(batch: Batch, spec: MeasureSpec) -> tuple[float, list[float]]:
 
 
 # signed inclusion-exclusion coefficient per distinct intersection of gaps
-Tally = dict[frozenset[int], int]
+Tally = dict[int, int]
 
 
-def _fold(tally: Tally, gap: frozenset[int]) -> Tally:
+def _fold(tally: Tally, gap: int) -> Tally:
     """The tally after one more gap.
 
     sum(c * C(|S|, q) for S, c in tally) counts the q-subsets that lie in at
@@ -264,7 +250,7 @@ def _fold(tally: Tally, gap: frozenset[int]) -> Tally:
     and every maximal gap is one of its keys, so a gap inside an earlier gap
     is inside a key: it covers nothing new and the same tally comes back.
     """
-    if not gap or any(gap <= s for s in tally):
+    if not gap or any(gap & s == gap for s in tally):
         return tally
     out = dict(tally)
     out[gap] = 1
@@ -279,32 +265,33 @@ def _fold(tally: Tally, gap: frozenset[int]) -> Tally:
     return out
 
 
-def _count_ways(size: int, tally: Tally, qmax: int) -> tuple[int, ...]:
-    """ways[q]: the q-subsets of a size-item base in no gap, for 1 <= q <=
-    qmax; ways[0] is 0."""
-    ways = [0] + [math.comb(size, q) for q in range(1, qmax + 1)]
-    for s, c in tally.items():
-        for q in range(1, min(len(s), qmax) + 1):
-            ways[q] -= c * math.comb(len(s), q)
-    return tuple(ways)
+def _digits(v: int, b: int, k: int) -> list[int]:
+    """The k lowest b-bit digits of v >= 0, lowest first.  v is halved until
+    a shift per digit is cheap, so the time stays near linear in k * b."""
+    if k > 1 and k * b > 4096:
+        h = k // 2
+        return _digits(v & ((1 << h * b) - 1), b, h) + _digits(v >> h * b, b, k - h)
+    digit, out = (1 << b) - 1, [0] * k
+    for q in range(k):
+        out[q] = v & digit
+        v >>= b
+    return out
 
 
-def _block_ways(elements: tuple[Items, ...], j: int, cap: int) -> list[tuple[int, ...]]:
-    """ways(i, j) for i = -1 .. j-1, at index i + 1.
-
-    Moving i left from j - 1 folds one more gap, elements[i + 1] & elements[j],
-    into the tally; positions whose gap adds nothing share one vector.
-    """
-    base = frozenset(elements[j])
-    qmax = min(cap, len(base))
+def _block_ways(masks: list[int], j: int, power) -> list[int]:
+    """ways(i, j) for i = -1 .. j-1, at index i + 1: power(|B|) - sum(c *
+    power(|S|)) over the tally, power(m) being (1 + X)^m - 1.  Moving i left
+    from j - 1 folds one more gap, masks[i + 1] & masks[j], into the tally;
+    positions whose gap adds nothing share one int."""
+    base = masks[j]
     tally: Tally = {}
-    ways = _count_ways(len(base), tally, qmax)
+    ways = full = power(base.bit_count())
     out = [ways] * (j + 1)
     for i in range(j - 2, -2, -1):
-        grown = _fold(tally, base.intersection(elements[i + 1]))
-        if grown is not tally:
+        gap = base & masks[i + 1]
+        if gap and (grown := _fold(tally, gap)) is not tally:
             tally = grown
-            ways = _count_ways(len(base), tally, qmax)
+            ways = full - sum(c * power(s.bit_count()) for s, c in tally.items())
         out[i + 1] = ways
     return out
 
@@ -320,86 +307,100 @@ class SequenceCounts:
       continuation(i, ell) = sum over j > i, q >= 1 of
                              ways(i, j)[q] * continuation(j, ell - q)
 
-    with continuation(j, 0) = 1.  Each block's ways vector is computed once.
-    The table is filled from the last position back, so deep sequences
-    cannot overflow the stack.  Row i starts as a copy of row i + 1 and adds
-    ways(i, i + 1) * continuation(i + 1), then (ways(i, j) - ways(i + 1, j))
-    * continuation(j) for each later j, convolved over q; a j whose vector
-    did not change is skipped, as _block_ways gives it the same tuple.  Only
-    integers are kept; draw reads them backwards, and block(i, j, q, r)
-    unranks a drawn block.
-    """
+    with continuation(j, 0) = 1.  A count vector, ways(i, j) or row(i) =
+    continuation(i, .), is one int whose b-bit digit ell is its count at ell
+    <= cap: the polynomial at X = 2^b, so an int product is a convolution.  b
+    is the bit length of C(norm, min(cap, norm // 2)), as a count of norm ell
+    is at most C(norm, ell).  This is exact because every true digit lies in
+    [0, 2^b): the ints add and multiply as the polynomials do, and masking to
+    cap + 1 digits reduces mod 2^(b(cap + 1)), which leaves the truncated
+    polynomial whatever the intermediate digits carried.  Rows are filled from
+    the last back: row(i) = row(i + 1) * (1 + ways(i, i + 1)) + sum over j > i
+    + 1 of (ways(i, j) - ways(i + 1, j)) * row(j), masked, skipping each j
+    whose vector _block_ways shares.  draw reads the rows backwards."""
 
-    __slots__ = ("elements", "cap", "_n", "_ways", "_table")
+    __slots__ = ("elements", "cap", "_by_norm", "_n", "_b", "_masks", "_ways", "_rows")
 
     def __init__(self, elements: tuple[Items, ...], cap: int):
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
-        self.elements = elements
-        self.cap = cap
+        self.elements, self.cap = elements, cap
         n = self._n = len(elements)
+        norm = sum(map(len, elements))
+        b = self._b = math.comb(norm, min(cap, norm // 2)).bit_length()
+        bit = {item: 1 << at for at, item in enumerate(sorted(set().union(*elements)))}
+        masks = self._masks = [sum(map(bit.__getitem__, e)) for e in elements]
+        powers: dict[int, int] = {}
+
+        def power(m: int) -> int:
+            # (1 + X)^m - 1 below X^(cap + 1): C(m, ell) at digit ell
+            if m not in powers:
+                got, c = 0, 1
+                for ell in range(1, min(m, cap) + 1):
+                    c = c * (m - ell + 1) // ell
+                    got |= c << b * ell
+                powers[m] = got
+            return powers[m]
+
         # _ways[j][i + 1] = ways(i, j)
-        self._ways = [_block_ways(elements, j, cap) for j in range(n)]
-        # continuation(j, ell) is 0 past the norm of the elements after j
-        after_norm = list(accumulate((len(e) for e in reversed(elements)), initial=0))
-        after_norm.reverse()
-        # _table[i + 1][ell] = continuation(i, ell)
-        table: list[list[int]] = [[]] * n + [[1] + [0] * cap]
-
-        def add(row: list[int], coef: Iterable[int], j: int) -> None:
-            # row[ell] += sum over q of coef[q] * continuation(j, ell - q)
-            after = table[j + 1]
-            for q, c in enumerate(coef):
-                if c:
-                    for ell in range(q, min(cap, q + after_norm[j + 1]) + 1):
-                        row[ell] += c * after[ell - q]
-
-        block_ways = self._ways
+        block_ways = self._ways = [_block_ways(masks, j, power) for j in range(n)]
+        keep = (1 << b * (cap + 1)) - 1
+        # _rows[i + 1] = continuation(i, .)
+        rows = [0] * n + [1]
         for i in range(n - 2, -2, -1):
-            row = table[i + 1] = table[i + 2].copy()
-            add(row, block_ways[i + 1][i + 1], i + 1)
+            row = rows[i + 2] * (1 + block_ways[i + 1][i + 1])
             for j in range(i + 2, n):
                 now, before = block_ways[j][i + 1], block_ways[j][i + 2]
                 if now is not before:
-                    add(row, map(int.__sub__, now, before), j)
-        self._table = table
+                    row += (now - before) * rows[j + 1]
+            rows[i + 1] = row & keep
+        self._rows = rows
+        # _by_norm[ell]: the distinct patterns of norm ell, continuation(-1, ell)
+        self._by_norm = tuple(_digits(rows[0], b, cap + 1))
 
     def ways(self, i: int, j: int) -> tuple[int, ...]:
         """ways(i, j)[q]: admissible q-blocks at position j after position i,
         for 1 <= q <= min(cap, len(elements[j]))."""
         if not -1 <= i < j < self._n:
             raise ValueError(f"no block at {j} after {i}")
-        return self._ways[j][i + 1]
+        top = min(self.cap, len(self.elements[j]))
+        return tuple(_digits(self._ways[j][i + 1], self._b, top + 1))
+
+    def row(self, i: int) -> tuple[int, ...]:
+        """continuation(i, ell) for ell = 0 .. cap, for -1 <= i < len(elements)."""
+        if not -1 <= i < self._n:
+            raise ValueError(f"no position {i}")
+        return tuple(_digits(self._rows[i + 1], self._b, self.cap + 1))
 
     def block(self, i: int, j: int, q: int, r: int) -> Items:
         """The r-th admissible q-block at position j after position i, in
-        lexicographic order, for 0 <= r < ways(i, j)[q].
-
-        The items b of elements[j] are walked in order, F being those taken.
-        The admissible blocks that extend F by b and then by items after b
-        number C(|rest|, q') - sum c_S * C(|S & rest|, q') over the tally
-        entries S that hold F and b (rest: the items after b; q' = q - |F| -
-        1), since the coefficients of the entries that hold a nonempty set
-        sum to 1 if a gap holds it, else to 0.  b is taken when r is below
-        that number; otherwise r drops by it."""
+        lexicographic order, for 0 <= r < ways(i, j)[q].  The items b of
+        elements[j] are walked in order, F being those taken: the admissible
+        blocks that extend F by b and then by later items number C(|rest|,
+        q') - sum c_S * C(|S & rest|, q') over the tally entries S that hold F
+        and b (rest: the items after b; q' = q - |F| - 1), as the coefficients
+        of the entries holding a nonempty set sum to 1 if a gap holds it, else
+        to 0.  b is taken when r is below that number; else r drops by it."""
         ways = self.ways(i, j)
         if not (0 < q < len(ways) and 0 <= r < ways[q]):
             raise ValueError(f"no {q}-block of rank {r} at {j} after {i}")
-        base = self.elements[j]
-        base_set = frozenset(base)
+        return self._unrank(i, j, q, r)
+
+    def _unrank(self, i: int, j: int, q: int, r: int) -> Items:
+        rest = self._masks[j]
         tally: Tally = {}
-        for other in self.elements[i + 1 : j]:
-            tally = _fold(tally, base_set.intersection(other))
-        # entries as bit masks over base positions: item base[at] is bit at
-        bit = {item: 1 << at for at, item in enumerate(base)}
-        held = [(sum(map(bit.__getitem__, s)), c) for s, c in tally.items()]
+        for other in self._masks[i + 1 : j]:
+            tally = _fold(tally, rest & other)
+        held = list(tally.items())
         taken: list[int] = []
-        for at, item in enumerate(base):
+        for item in self.elements[j]:
+            at = rest & -rest  # the item's bit; rest keeps the items after it
+            rest ^= at
             need = q - len(taken) - 1
-            here = [(s, c) for s, c in held if s >> at & 1]
-            count = math.comb(len(base) - at - 1, need) - sum(
-                c * math.comb((s >> at + 1).bit_count(), need) for s, c in here
-            )
+            here = [(s, c) for s, c in held if s & at] if held else held
+            count = math.comb(rest.bit_count(), need)
+            for s, c in here:
+                count -= c * math.comb((s & rest).bit_count(), need)
             if r < count:
                 taken.append(item)
                 if not need:
@@ -412,30 +413,42 @@ class SequenceCounts:
     def count(self, ell: int) -> int:
         """Number of distinct patterns of norm ell in the sequence."""
         self._check(ell)
-        return self._table[0][ell]
+        return self._by_norm[ell]
 
     def draw(self, ell: int, rng: Random) -> tuple[Items, ...]:
         """The blocks of a uniform pattern of norm ell.  Per block, one
         randrange over continuation(i, remaining) picks its position j and
-        size q (j, then q, ascending) and one over ways(i, j)[q] its rank."""
+        size q (j, then q, ascending) and one over ways(i, j)[q] its rank.
+        The mass at j is digit top of one product, ways(i, j) * window, the
+        window holding the top = min(remaining, widest itemset) digits of
+        row(j) just below remaining: each lower digit of the product is at
+        most a count of a lower norm, below 2^b, so none carries.  Only the
+        chosen j's vector and window are decoded, once."""
         self._check(ell)
+        b, rows, block_ways = self._b, self._rows, self._ways
+        widest = max(map(len, self.elements))
+        digit = (1 << b) - 1
         parts: list[Items] = []
         i = -1
         remaining = ell
         while remaining:
-            r = rng.randrange(self._table[i + 1][remaining])
+            r = rng.randrange(rows[i + 1] >> b * remaining & digit)
+            top = min(remaining, widest)
+            below, low, shift = (1 << b * remaining) - 1, b * (remaining - top), b * top
             for j in range(i + 1, self._n):
-                after = self._table[j + 1]
-                ways = self._ways[j][i + 1]
-                for q in range(1, min(remaining, len(ways) - 1) + 1):
-                    mass = ways[q] * after[remaining - q]
-                    if r < mass:
-                        break
-                    r -= mass
-                else:
-                    continue
-                break
-            parts.append(self.block(i, j, q, rng.randrange(ways[q])))
+                window = (rows[j + 1] & below) >> low
+                mass = block_ways[j][i + 1] * window >> shift & digit
+                if r < mass:
+                    break
+                r -= mass
+            ways, after = _digits(block_ways[j][i + 1], b, top + 1), _digits(window, b, top)
+            for q in range(1, top + 1):
+                count = ways[q]
+                mass = count * after[top - q]
+                if r < mass:
+                    break
+                r -= mass
+            parts.append(self._unrank(i, j, q, rng.randrange(count)))
             i = j
             remaining -= q
         return tuple(parts)

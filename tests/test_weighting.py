@@ -29,6 +29,8 @@ from rps.weighting import (
     weight_table,
 )
 
+from rps.sampling import _draw_plan
+
 import streamgen
 from conftest import A, B, C
 
@@ -175,11 +177,66 @@ def _direct_sum_table(counts: SequenceCounts) -> list[list[int]]:
 
 def test_sequence_counts_table_equals_the_direct_sum():
     rng = random.Random(2718)
-    for _ in range(120):
-        z = _nested_sequence(rng, rng.choice((3, 5, 8)), rng.randint(1, 10))
+    cases = [
+        _nested_sequence(rng, rng.choice((3, 5, 8)), rng.randint(1, 10)) for _ in range(120)
+    ]
+    # one itemset: a single ways vector, masked below its size at each cap
+    cases += [sequence([range(size)]) for size in range(1, 13)]
+    for z in cases:
         for cap in range(z.norm + 1):
             counts = SequenceCounts(z.elements, cap)
-            assert counts._table == _direct_sum_table(counts), (z, cap)
+            rows = [list(counts.row(i)) for i in range(-1, len(z.elements))]
+            assert rows == _direct_sum_table(counts), (z, cap)
+
+
+def test_distinct_one_item_itemsets_fill_the_widest_digit():
+    # n distinct one-item itemsets hold C(n, ell) patterns of norm ell, the
+    # largest count of that norm, so the binomial bound on a digit is met
+    for n in range(1, 41):
+        elements = tuple((item,) for item in range(n))
+        for cap in range(n + 1):
+            counts = SequenceCounts(elements, cap)
+            rows = [counts.row(i) for i in range(-1, n)]
+            assert rows == [
+                tuple(math.comb(n - 1 - i, ell) for ell in range(cap + 1))
+                for i in range(-1, n)
+            ], (n, cap)
+
+
+def _table_walk(counts: SequenceCounts, ell: int, rng: random.Random) -> tuple:
+    # a draw that reads the decoded rows and ways vectors, j then q ascending
+    parts, i, remaining = [], -1, ell
+    while remaining:
+        r = rng.randrange(counts.row(i)[remaining])
+        for j in range(i + 1, len(counts.elements)):
+            after, ways = counts.row(j), counts.ways(i, j)
+            for q in range(1, min(remaining, len(ways) - 1) + 1):
+                if r < ways[q] * after[remaining - q]:
+                    break
+                r -= ways[q] * after[remaining - q]
+            else:
+                continue
+            break
+        parts.append(counts.block(i, j, q, rng.randrange(ways[q])))
+        i, remaining = j, remaining - q
+    return tuple(parts)
+
+
+def test_sequence_draw_reads_what_a_table_walk_reads():
+    # same blocks and same generator state, on small blocks, on blocks of up
+    # to 90 items with wide digits (decoded by halving) and on 40 one-item
+    # itemsets (each row read through a one-digit window)
+    rng = random.Random(777)
+    cases = [_nested_sequence(rng, 8, rng.randint(1, 8)) for _ in range(40)]
+    cases += [sequence([range(90)]), sequence([range(60), range(30, 90), [5, 70]])]
+    cases += [sequence([[i % 7] for i in range(40)])]
+    for z in cases:
+        counts = SequenceCounts(z.elements, z.norm)
+        for ell in range(1, z.norm + 1):
+            if counts.count(ell):
+                got, want = random.Random(ell), random.Random(ell)
+                assert counts.draw(ell, got) == _table_walk(counts, ell, want), (z, ell)
+                assert got.getstate() == want.getstate()
 
 
 def test_sequence_counts_stress_bound():
@@ -350,6 +407,68 @@ def test_plain_itemset_size_limit(measure, largest):
     assert math.isfinite(instance_weight(plain_itemset(range(largest)), spec))
     with pytest.raises(WeightOverflowError, match=f"{largest + 1}-item PlainItemset"):
         instance_weight(plain_itemset(range(largest + 1)), spec)
+
+
+def test_sequence_float_limit():
+    # a one-itemset sequence of n items holds 2^n - 1 patterns; past the
+    # float range it is refused by name before any sampler state moves
+    start = time.process_time()
+    assert math.isfinite(batch_weight(Batch(1.0, (sequence([range(1020)]),)), FREQ)[0])
+    assert time.process_time() - start < 1.0
+    sampler = ReservoirSampler(FREQ, capacity=2, damping=0.05, seed=3)
+    sampler.process_batch(Batch(1.0, (sequence([[A], [B]]),)))
+
+    def state():
+        return sampler.snapshot(), sampler.batches_seen, sampler.rng.getstate()
+
+    before = state()
+    for weigh in (
+        lambda z: batch_weight(Batch(1.0, (z,)), FREQ),
+        lambda z: weight_table(z, FREQ),
+        lambda z: sampler.process_batch(Batch(2.0, (z,))),
+    ):
+        start = time.process_time()
+        with pytest.raises(WeightOverflowError, match="1030-item Sequence"):
+            weigh(sequence([range(1030)]))
+        assert time.process_time() - start < 1.0
+    assert state() == before
+
+
+def test_sequence_masses_equal_the_table_bit_for_bit():
+    # batch_weight and the draw plan sum a sequence's masses without a
+    # table; decay:1e-30 underflows to 0.0 from norm 11, so those norms drop
+    rng = random.Random(4242)
+    cases = [
+        _nested_sequence(rng, rng.choice((3, 6, 10)), rng.randint(1, 10)) for _ in range(60)
+    ]
+    cases += [streamgen.random_sequence(rng) for _ in range(60)]
+    cases += [sequence([range(n)]) for n in (1, 5, 14)]
+    specs = [
+        FREQ,
+        AREA,
+        parse_measure("decay:0.5"),
+        parse_measure("decay:1e-30"),
+        MeasureSpec(BaseMeasure.FREQ, min_norm=3),
+        MeasureSpec(BaseMeasure.AREA, max_norm=4),
+        MeasureSpec(BaseMeasure.DECAY, alpha=0.5, min_norm=2, max_norm=5),
+    ]
+    dropped = 0
+    for spec in specs:
+        total, masses = batch_weight(Batch(1.0, tuple(cases)), spec)
+        for z, mass in zip(cases, masses):
+            table = weight_table(z, spec)
+            assert mass.hex() == table.total.hex(), (z, spec)
+            if table.norms:
+                norms, sums, _ = _draw_plan(z, spec)
+                assert (norms, tuple(sums)) == (table.norms, table.cumulative), (z, spec)
+            dropped += spec.alpha == 1e-30 and table.norms[-1] < z.norm
+    assert dropped > 10
+    # a sequence shorter than min_norm weighs 0.0 without building counts
+    short = (sequence([[1], [2]]), sequence([range(2)]), sequence([[7]]))
+    built = sequence_counts.cache_info()
+    assert batch_weight(Batch(1.0, short), specs[4]) == (0.0, [0.0] * 3)
+    assert weight_table(short[0], specs[4]).total == 0.0
+    assert sequence_counts.cache_info() == built and not any(z.memo for z in short)
 
 
 def test_weighted_and_batch_overflow_are_typed():
