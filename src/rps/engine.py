@@ -159,8 +159,8 @@ class ReservoirSampler:
     def process_batch(self, batch: Batch) -> BatchReport:
         """Offer one batch to the reservoir.  A batch that raises changes
         nothing: it is validated and weighed before any state moves.  It is
-        weighed from its rows, and its instances are read only to draw from
-        it once it is accepted."""
+        weighed from its rows, and a row's instance is built only when a draw
+        from the accepted batch picks it."""
         t = batch.timestamp
         if not math.isfinite(t):
             raise StreamOrderError(f"batch timestamp {t} is not finite")
@@ -207,20 +207,17 @@ class ReservoirSampler:
         self.batches_accepted += 1
         self._featurizer = None
 
+        # the first acceptance has p == 1 and n == k: it fills every slot
+        slots = sample_distinct_indices(self.rng, k, n) if self._entries else range(n)
+        patterns = sample_from_batch(batch, self.spec, n, self.rng, masses)
         if self._entries:
-            slots = sample_distinct_indices(self.rng, k, n)
-            patterns = sample_from_batch(batch, self.spec, n, self.rng, masses)
             for s, pat in zip(slots, patterns):
                 self._entries[s] = (t, pat)
-            evicted = tuple(slots)
         else:
-            # first acceptance has p == 1 and n == k
-            patterns = sample_from_batch(batch, self.spec, n, self.rng, masses)
             self._entries = [(t, pat) for pat in patterns]
-            evicted = tuple(range(n))
 
         self.insertions += n
-        return BatchReport(t, w, p, True, n, evicted)
+        return BatchReport(t, w, p, True, n, tuple(slots))
 
     def process_stream(self, batches) -> list[BatchReport]:
         return [self.process_batch(b) for b in batches]

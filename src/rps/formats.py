@@ -19,17 +19,15 @@ line's tokens are then interned in token order in one Catalog call, and a
 wtx or seq-spmf row is built without the constructor's checks, made already.
 
 parse_instance and read_instances build each line's instance at once.
-iter_batches hands tx rows to Batch.of_plain_rows, which sorts, builds and
-checks their PlainItemsets only when the batch's instances are read: the
-engine weighs a batch from its rows and reads its instances only to draw
-from an accepted batch, so a rejected tx batch builds none.  Every check
-that can refuse a tx line runs as the line is read; a row the parser gave
-always builds.  Batches carry no labels; read_instances yields them.
+iter_batches puts the rows in its batches, and a draw builds the
+PlainItemset of only the tx rows it picks, so a rejected tx batch builds
+none; a row the parser gave always builds.  Batches carry no labels;
+read_instances yields them.
 
 Pattern text is "{a,b}" for itemset patterns and "<{a}{b,c}>" for sequence
-patterns, tokens in item-id (interning) order.  Snapshot files hold one
-"norm<TAB>pattern<TAB>timestamp" line per reservoir slot; lines starting
-with '#' are comments.
+patterns, tokens in item-id (interning) order, so the catalog refuses a
+token that holds "{", "}" or ",".  Snapshot files hold one line per slot,
+"norm<TAB>pattern<TAB>timestamp"; lines starting with '#' are comments.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .model import (
     Sequence,
     WeightedItemset,
     _unchecked,
-    plain_of_ids,
+    instance_of,
 )
 
 # what a parser reads a line to: a tx line's set of ids, else its instance
@@ -68,7 +66,7 @@ def parse_instance(
 ) -> tuple[Instance, str | None]:
     """One non-blank line -> (instance, label or None)."""
     row, label = _parser(fmt)(line, catalog)
-    return _instance(row), label
+    return instance_of(row), label
 
 
 def _parse_tx(line: str, catalog: Catalog) -> tuple[set[int], str | None]:
@@ -163,10 +161,6 @@ def _parser(fmt: str) -> Callable[[str, Catalog], tuple[Row, str | None]]:
         raise ParseError(f"unknown format {fmt!r}; expected one of {FORMATS}") from None
 
 
-def _instance(row: Row) -> Instance:
-    return plain_of_ids(row) if isinstance(row, set) else row
-
-
 def _num(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
@@ -242,7 +236,7 @@ def read_instances(
     with the 1-based line number attached.
     """
     return (
-        (line_no, row if row is None else _instance(row), label)
+        (line_no, row if row is None else instance_of(row), label)
         for line_no, row, label in _read(lines, _parser(fmt), catalog)
     )
 
@@ -302,15 +296,9 @@ def iter_batches(
     return _iter_batches_ordinal(lines, fmt, catalog, batch_size)
 
 
-def _batch(fmt: str) -> Callable[[float, tuple[Row, ...]], Batch]:
-    """The batch of a format's rows: tx rows are built only when read."""
-    return Batch.of_plain_rows if fmt == "tx" else Batch
-
-
 def _iter_batches_ordinal(
     lines: Iterable[str], fmt: str, catalog: Catalog, batch_size: int | str
 ) -> Iterator[Batch]:
-    batch = _batch(fmt)
     t = 0.0
     pending: list[Row] = []
     for _, row, _ in _read(lines, _parser(fmt), catalog):
@@ -321,17 +309,16 @@ def _iter_batches_ordinal(
         elif batch_size != "marker" or not pending:
             continue
         t += 1.0
-        yield batch(t, tuple(pending))
+        yield Batch(t, tuple(pending))
         pending = []
     if pending:
-        yield batch(t + 1.0, tuple(pending))
+        yield Batch(t + 1.0, tuple(pending))
 
 
 def _iter_batches_explicit(
     lines: Iterable[str], fmt: str, catalog: Catalog
 ) -> Iterator[Batch]:
     parse = _parser(fmt)
-    batch = _batch(fmt)
     last = -math.inf
 
     def parse_stamped(line: str, catalog: Catalog) -> tuple[float, Row]:
@@ -355,12 +342,12 @@ def _iter_batches_explicit(
         if row is None:
             continue
         if t != current_t and pending:
-            yield batch(current_t, tuple(pending))
+            yield Batch(current_t, tuple(pending))
             pending = []
         current_t = t
         pending.append(row)
     if pending:
-        yield batch(current_t, tuple(pending))
+        yield Batch(current_t, tuple(pending))
 
 
 def write_snapshot(

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from operator import lt
 from typing import Collection, Iterable, Mapping, Union
 
+from .errors import ParseError
+
 Items = tuple[int, ...]
 
 
@@ -21,9 +23,13 @@ class Catalog:
 
     Ids are given in order of first appearance, and an id, once given, is
     never taken back: a reader that may refuse its input checks it in full
-    before it interns a token.  The catalog is single-threaded: interning
+    before it interns a token.  A new token that holds '{', '}' or ',',
+    pattern text's delimiters, is a ParseError, and a call checks all its new
+    tokens before it interns one.  The catalog is single-threaded: interning
     is a plain dict read, plus a write for a token not seen before.
     """
+
+    _DELIMITERS = frozenset("{},")
 
     def __init__(self, tokens: Iterable[str] = ()):
         self._ids: dict[str, int] = {}
@@ -34,9 +40,17 @@ class Catalog:
     def intern(self, token: str) -> int:
         got = self._ids.get(token)
         if got is None:
+            self._checked((token,))
             got = self._ids[token] = len(self._tokens)
             self._tokens.append(token)
         return got
+
+    def _checked(self, tokens: Collection[str]) -> Collection[str]:
+        # only the miss paths call this: a line of known tokens pays nothing
+        for tok in tokens:
+            if tok not in self._ids and not self._DELIMITERS.isdisjoint(tok):
+                raise ParseError(f"token {tok!r} holds a pattern delimiter '{{', '}}' or ','")
+        return tokens
 
     def ids(self, tokens: Collection[str]) -> list[int]:
         """The ids of tokens, in token order.  A token not seen before is
@@ -45,14 +59,14 @@ class Catalog:
         try:
             return list(map(self._ids.__getitem__, tokens))
         except KeyError:
-            return list(map(self.intern, tokens))
+            return list(map(self.intern, self._checked(tokens)))
 
     def id_set(self, tokens: Collection[str]) -> set[int]:
         """set(self.ids(tokens)), without the intermediate list."""
         try:
             return set(map(self._ids.__getitem__, tokens))
         except KeyError:
-            return set(map(self.intern, tokens))
+            return set(map(self.intern, self._checked(tokens)))
 
     def intern_all(self, tokens: Collection[str]) -> Items:
         """canon_items(self.ids(tokens))."""
@@ -65,6 +79,7 @@ class Catalog:
             get = self._ids.__getitem__
             return tuple([tuple(sorted(set(map(get, g)))) for g in groups])
         except KeyError:
+            self._checked([tok for g in groups for tok in g])
             return tuple([self.intern_all(g) for g in groups])
 
     def token(self, item_id: int) -> str:
@@ -222,45 +237,31 @@ def _unchecked(cls: type, *values):
 
 
 class Batch:
-    """Timestamped group of same-variant instances; may be empty.
+    """Timestamped group of same-variant rows; may be empty.
 
-    Batch(timestamp, instances) holds the instances it is given.  A batch
-    read from tx lines (Batch.of_plain_rows) holds each line's set of
-    distinct item ids and builds its PlainItemsets on the first read of
-    instances, so a batch that is weighed and rejected builds none.  rows
-    is what the batch holds, and variant is its instance type (None when
-    empty); reading either builds nothing.  Equality, hashing, repr and
-    pickling go by (timestamp, instances), however the batch was made.
+    A row is an instance, or a tx line's set of distinct item ids, which
+    stands for its PlainItemset (instance_of).  rows is what the batch
+    holds, and variant is its instance type (None when empty); reading
+    either builds nothing, so a batch is weighed from its rows.  instances
+    derives the instances from the rows on each read.  Equality, hashing,
+    repr and pickling go by (timestamp, instances), whatever the rows are.
     """
 
-    __slots__ = ("timestamp", "variant", "rows", "_instances")
+    __slots__ = ("timestamp", "variant", "rows")
 
-    def __init__(self, timestamp: float, instances: tuple[Instance, ...]):
-        kinds = set(map(type, instances))
+    def __init__(self, timestamp: float, rows: tuple[set[int] | Instance, ...]):
+        kinds = set(map(type, rows))
         if len(kinds) > 1:
             names = sorted(k.__name__ for k in kinds)
-            raise ValueError(f"batch mixes instance variants: {names}")
+            raise ValueError(f"batch mixes rows of kinds {names}")
+        kind = next(iter(kinds), None)
         _set(self, "timestamp", timestamp)
-        _set(self, "variant", next(iter(kinds), None))
-        _set(self, "rows", instances)
-        _set(self, "_instances", instances)
-
-    @classmethod
-    def of_plain_rows(cls, timestamp: float, rows: tuple[set[int], ...]) -> "Batch":
-        """A batch of plain itemsets, each given as a non-empty set of
-        non-negative item ids."""
-        batch = cls.__new__(cls)
-        _set(batch, "timestamp", timestamp)
-        _set(batch, "variant", PlainItemset if rows else None)
-        _set(batch, "rows", rows)
-        _set(batch, "_instances", None)
-        return batch
+        _set(self, "variant", PlainItemset if kind is set else kind)
+        _set(self, "rows", rows)
 
     @property
     def instances(self) -> tuple[Instance, ...]:
-        if self._instances is None:
-            _set(self, "_instances", tuple(map(plain_of_ids, self.rows)))
-        return self._instances
+        return tuple(map(instance_of, self.rows))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}: a Batch is frozen")
@@ -283,6 +284,12 @@ class Batch:
 def plain_of_ids(ids: set[int]) -> PlainItemset:
     """The plain itemset of a set of distinct non-negative item ids."""
     return PlainItemset(tuple(sorted(ids)))
+
+
+def instance_of(row: set[int] | Instance) -> Instance:
+    """The instance a batch row stands for: a set of item ids is its plain
+    itemset, built and checked on each call; any other row is an instance."""
+    return plain_of_ids(row) if isinstance(row, set) else row
 
 
 def plain_itemset(items: Iterable[int]) -> PlainItemset:

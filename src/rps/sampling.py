@@ -22,7 +22,7 @@ from random import Random
 
 from .measures import MeasureSpec
 from .model import Batch, Instance, Pattern, PlainItemset, Sequence, WeightedItemset
-from .model import _unchecked
+from .model import _unchecked, instance_of
 from .weighting import NormWeightTable, _masses, batch_weight
 from .weighting import sequence_counts, weight_table
 
@@ -106,8 +106,9 @@ def sample_from_batch(
 ) -> list[Pattern]:
     """count independent pattern draws from the batch law m(x, B) / w(B).
 
-    masses are the per-instance masses batch_weight gave for this batch and
-    spec; they are weighed again when not given.
+    masses are the per-row masses batch_weight gave for this batch and
+    spec; they are weighed again when not given.  A row's instance is built
+    when a draw first picks it, so tx rows that no draw picks are not built.
     """
     if count < 0:
         raise ValueError(f"draw count must be >= 0, got {count}")
@@ -121,8 +122,8 @@ def sample_from_batch(
     total = cum[-1] if cum else 0.0
     if total <= 0:
         raise ValueError("batch has no pattern mass under this measure")
-    instances = batch.instances
-    plans: dict[int, tuple] = {}  # only for the instances a draw picks
+    rows = batch.rows
+    plans: dict[int, tuple] = {}  # instance and draw plan of each row picked
     out: list[Pattern] = []
     for _ in range(count):
         # bisect_right skips zero-weight instances even when the point lands
@@ -130,8 +131,9 @@ def sample_from_batch(
         zi = bisect_right(cum, rng.random() * total)
         plan = plans.get(zi)
         if plan is None:
-            plan = plans[zi] = _draw_plan(instances[zi], spec)
-        norms, norm_sums, weight_sums = plan
+            z = instance_of(rows[zi])
+            plan = plans[zi] = (z, *_draw_plan(z, spec))
+        z, norms, norm_sums, weight_sums = plan
         ell = norms[bisect_right(norm_sums, rng.random() * norm_sums[-1])]
-        out.append(draw_pattern_of_norm(instances[zi], ell, spec, rng, weight_sums))
+        out.append(draw_pattern_of_norm(z, ell, spec, rng, weight_sums))
     return out

@@ -209,9 +209,9 @@ def instance_weight(z: Instance, spec: MeasureSpec) -> float:
 def batch_weight(batch: Batch, spec: MeasureSpec) -> tuple[float, list[float]]:
     """(w(B), the mass of each of the batch's rows, in row order).
 
-    Rows that are sets of item ids (Batch.of_plain_rows) are plain itemsets,
-    weighed by their sizes alone without building them: one table lookup per
-    distinct size.  Weighted itemsets look their (size, spec) terms up once
+    Rows that are sets of item ids (tx rows) are plain itemsets, weighed by
+    their sizes alone without building them: one table lookup per distinct
+    size.  Weighted itemsets look their (size, spec) terms up once
     per distinct size too, and sum them without a table, as sequences sum
     their masses.  The floats equal instance_weight's either way.
     """
@@ -393,21 +393,26 @@ class SequenceCounts:
             tally = _fold(tally, rest & other)
         held = list(tally.items())
         taken: list[int] = []
+        # free = C(left, need + 1), the blocks that take the rest from the items left
+        left = len(self.elements[j])
+        free = math.comb(left, q)
         for item in self.elements[j]:
             at = rest & -rest  # the item's bit; rest keeps the items after it
             rest ^= at
             need = q - len(taken) - 1
             here = [(s, c) for s, c in held if s & at] if held else held
-            count = math.comb(rest.bit_count(), need)
+            count = ahead = free * (need + 1) // left  # C(left - 1, need): those with it
+            left -= 1
             for s, c in here:
                 count -= c * math.comb((s & rest).bit_count(), need)
             if r < count:
                 taken.append(item)
                 if not need:
                     break
-                held = here
+                held, free = here, ahead
             else:
                 r -= count
+                free -= ahead  # C(left, need + 1), by Pascal's rule
         return tuple(taken)
 
     def count(self, ell: int) -> int:

@@ -210,6 +210,20 @@ def test_parse_failure_exits_1(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_a_token_with_a_pattern_delimiter_exits_1_with_its_line(tmp_path, capsys):
+    # a snapshot slot {a,b} would not read back, so the token is refused
+    bad = tmp_path / "bad.tx"
+    bad.write_text("x\n\nx a{b}\n", encoding="utf-8")
+    code = main([
+        "sample", "--input", str(bad), "--format", "tx",
+        "--reservoir-size", "2", "--seed", "1", "--output", str(tmp_path / "snap.tsv"),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "rps: line 3: token 'a{b}' holds a pattern delimiter '{', '}' or ','\n"
+    )
+
+
 def test_missing_input_exits_1(tmp_path, capsys):
     code = main([
         "sample", "--input", str(tmp_path / "nope.tx"), "--format", "tx",

@@ -93,12 +93,16 @@ def test_a_rejected_batch_of_rows_builds_no_instance(monkeypatch):
     s = ReservoirSampler(FREQ, capacity=2, seed=4)
     twin = ReservoirSampler(FREQ, capacity=2, seed=4)
     accepted = []
+    rows = ({B, A}, {C})
     for t in range(1, 30):
         before = len(built)
-        report = s.process_batch(Batch.of_plain_rows(float(t), ({B, A}, {C})))
+        report = s.process_batch(Batch(float(t), rows))
         twin_batch = Batch(float(t), (plain_itemset([A, B]), plain_itemset([C])))
         assert report == twin.process_batch(twin_batch)
-        assert len(built) - before == (2 if report.accepted else 0)
+        # an accepted batch builds each row its draws picked, once
+        drawn = [s.snapshot()[slot][1].elements[0] for slot in report.evicted]
+        picked = [row for row in rows if any(row.issuperset(x) for x in drawn)]
+        assert sorted(map(sorted, built[before:])) == sorted(map(sorted, picked))
         accepted.append(report.accepted)
     assert s.snapshot() == twin.snapshot()
     assert True in accepted[1:] and False in accepted

@@ -207,6 +207,10 @@ def test_refused_line_leaves_the_catalog_as_it_was():
         ("wtx", "p q:0:1 -1", "item weights must be positive"),
         ("seq-spmf", "x y -1 -1 -2", "empty itemset before -1"),
         ("seq-spmf", "u v -1", "sequence line is missing the -2"),
+        # a token that holds a pattern text delimiter, after a new token
+        ("tx", "b a,b", "token 'a,b' holds"),
+        ("wtx", "b x{:2:1 1", "token 'x{' holds"),
+        ("seq-spmf", "b -1 c} -1 -2", "token 'c}' holds"),
     ]
     cat = Catalog(["a"])
 

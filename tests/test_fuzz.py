@@ -6,6 +6,7 @@ or replacing a few characters.  The lines stay as short as the seeds, so
 no mutant makes sequence counting slow; that cost has its own tests.
 """
 
+import io
 import math
 import random
 
@@ -13,7 +14,7 @@ import pytest
 
 from rps.engine import ReservoirSampler
 from rps.errors import RpsError
-from rps.formats import FORMATS, iter_batches, parse_instance, read_snapshot
+from rps.formats import FORMATS, iter_batches, parse_instance, read_snapshot, write_snapshot
 from rps.measures import parse_measure
 from rps.model import Catalog, Sequence, WeightedItemset
 
@@ -151,6 +152,39 @@ def test_refused_batch_leaves_the_sampler_as_it_was():
                 refusals += 1
                 assert _state(sampler) == before
     assert refusals > 0
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_accepted_streams_round_trip_through_a_snapshot(fmt):
+    """The snapshot of every stream the sampler accepts reads back, into its
+    own catalog and into a fresh one as rps featurize reads it, as the same
+    stamps and patterns."""
+    rng = random.Random(f"round-trip-{fmt}")
+    spec = parse_measure("util" if fmt == "wtx" else "freq")
+    trips = 0
+    for run in range(500):
+        explicit = rng.random() < 0.5
+        lines = _stream(rng, fmt, explicit)
+        catalog = Catalog()
+        sampler = ReservoirSampler(spec, 3, seed=run)
+        timestamps = "explicit" if explicit else "ordinal"
+        try:
+            for batch in iter_batches(lines, fmt, catalog, "marker", timestamps):
+                sampler.process_batch(batch)
+        except RpsError:
+            continue
+        out = io.StringIO()
+        write_snapshot(out, sampler.snapshot(), catalog)
+        text = out.getvalue().splitlines()
+        assert read_snapshot(text, catalog) == sampler.snapshot(), lines
+        fresh = Catalog()
+
+        def spelled(entries, cat):
+            return [(t, [sorted(map(cat.token, e)) for e in x.elements]) for t, x in entries]
+
+        assert spelled(read_snapshot(text, fresh), fresh) == spelled(sampler.snapshot(), catalog)
+        trips += 1
+    assert trips > 100
 
 
 @pytest.mark.parametrize("fmt", ["wtx", "seq-spmf"])

@@ -7,12 +7,14 @@ import random
 import pytest
 
 from rps import model
+from rps.errors import ParseError
 from rps.model import (
     Batch,
     Catalog,
     Pattern,
     PlainItemset,
     Sequence,
+    instance_of,
     is_subset,
     matches,
     pattern,
@@ -108,8 +110,31 @@ def test_batch_invariants():
         Batch(1.0, (plain_itemset([A]), sequence([[A]])))
     empty = Batch(1.0, ())
     assert empty.instances == ()
-    assert empty.variant is None and Batch.of_plain_rows(1.0, ()).variant is None
+    assert empty.variant is None and Batch(1.0, ()).variant is None
     assert Batch(1.0, (sequence([[A]]),)).variant is Sequence
+
+
+def test_batch_refuses_rows_that_mix_sets_with_instances():
+    with pytest.raises(ValueError, match="mixes"):
+        Batch(1.0, ({A}, plain_itemset([B])))
+    with pytest.raises(ValueError, match="mixes"):
+        Batch(1.0, (weighted_itemset({A: 1.0}), {B}))
+    assert Batch(1.0, ({A}, {B, C})).variant is PlainItemset
+    z = sequence([[A], [B]])
+    assert instance_of({C, A}) == plain_itemset([A, C]) and instance_of(z) is z
+
+
+def test_catalog_refuses_a_new_token_with_a_pattern_delimiter():
+    cat = Catalog(["a", "b"])
+    for call in (cat.ids, cat.id_set, cat.intern_all):
+        with pytest.raises(ParseError, match="token 'x,y' holds"):
+            call(["c", "x,y"])
+    with pytest.raises(ParseError, match="token 'y}' holds"):
+        cat.itemsets([["c"], ["d", "y}"]])
+    with pytest.raises(ParseError, match="token '{' holds"):
+        cat.intern("{")
+    assert len(cat) == 2 and "c" not in cat
+    assert cat.itemsets([["b", "c"], ["a"]]) == ((1, 2), (0,))
 
 
 def test_batch_of_plain_rows_builds_once_on_first_read(monkeypatch):
@@ -121,12 +146,11 @@ def test_batch_of_plain_rows_builds_once_on_first_read(monkeypatch):
 
     monkeypatch.setattr(model, "plain_of_ids", counting)
     rows = ({C, A}, {B})
-    lazy = Batch.of_plain_rows(2.0, rows)
+    lazy = Batch(2.0, rows)
     eager = Batch(2.0, (plain_itemset([A, C]), plain_itemset([B])))
     assert lazy.variant is PlainItemset and lazy.rows is rows
     assert built == []
     assert lazy.instances == eager.instances
-    assert lazy.instances is lazy.instances and len(built) == 2
     assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
     assert lazy != Batch(3.0, eager.instances)
     with pytest.raises(AttributeError, match="frozen"):

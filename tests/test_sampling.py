@@ -10,9 +10,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from rps import oracle
+from rps import model, oracle
 from rps.measures import BaseMeasure, MeasureSpec
-from rps.model import Batch, Pattern, matches, plain_itemset, sequence, weighted_itemset
+from rps.model import Batch, Pattern, PlainItemset, matches, plain_itemset, sequence
+from rps.model import weighted_itemset
 from rps.sampling import (
     draw_norm,
     draw_pattern_of_norm,
@@ -254,6 +255,31 @@ def test_weighted_batch_draw_builds_no_table(monkeypatch):
                 weight_table(batch.instances[0], spec)
             got = sample_from_batch(batch, spec, 300, random.Random(5))
         assert got == want
+
+
+def test_a_draw_builds_only_the_rows_it_picks(monkeypatch):
+    # 100 tx rows of two items each, no item shared, so each drawn pattern
+    # names the row it came from
+    built = []
+
+    def counting(ids):
+        built.append(min(ids) // 2)
+        return PlainItemset(tuple(sorted(ids)))
+
+    monkeypatch.setattr(model, "plain_of_ids", counting)
+    rows = tuple({2 * i, 2 * i + 1} for i in range(100))
+    eager = Batch(1.0, tuple(plain_itemset(row) for row in rows))
+    lazy = Batch(1.0, rows)
+    assert sample_from_batch(lazy, FREQ, 1, random.Random(3)) == sample_from_batch(
+        eager, FREQ, 1, random.Random(3)
+    )
+    assert len(built) == 1
+    for seed in range(5):
+        built.clear()
+        got = sample_from_batch(lazy, FREQ, 30, random.Random(seed))
+        assert got == sample_from_batch(eager, FREQ, 30, random.Random(seed))
+        picked = {x.elements[0][0] // 2 for x in got}
+        assert sorted(built) == sorted(picked) and 1 < len(picked) < 30
 
 
 def test_drawn_patterns_pass_the_checked_constructor():

@@ -29,7 +29,7 @@ from rps.weighting import (
     weight_table,
 )
 
-from rps.sampling import _draw_plan
+from rps.sampling import _draw_plan, sample_from_batch
 
 import streamgen
 from conftest import A, B, C
@@ -292,9 +292,9 @@ def test_plain_rows_weigh_as_their_itemsets():
         )
         eager = Batch(1.0, tuple(map(plain_itemset, rows)))
         for spec in specs:
-            assert batch_weight(Batch.of_plain_rows(1.0, rows), spec) == batch_weight(eager, spec)
+            assert batch_weight(Batch(1.0, rows), spec) == batch_weight(eager, spec)
     with pytest.raises(ConfigurationError):
-        batch_weight(Batch.of_plain_rows(1.0, ({A},)), UTIL)
+        batch_weight(Batch(1.0, ({A},)), UTIL)
 
 
 def test_admissible_blocks_count_equals_enumeration():
@@ -432,6 +432,19 @@ def test_sequence_float_limit():
             weigh(sequence([range(1030)]))
         assert time.process_time() - start < 1.0
     assert state() == before
+
+
+def test_block_unranking_carries_the_binomial():
+    # 50 draws from a 1020-item itemset, blocks of about 510 items: unranking
+    # carries its binomial from item to item; a math.comb per item, on ints
+    # as wide as the block, took 0.84-0.96 s of CPU on a 2-core VM, and the
+    # carried one 0.075-0.086 s
+    batch = Batch(1.0, (sequence([range(1020)]),))
+    masses = batch_weight(batch, FREQ)[1]
+    start = time.process_time()
+    drawn = sample_from_batch(batch, FREQ, 50, random.Random(7), masses)
+    assert time.process_time() - start < 0.3
+    assert len(drawn) == 50 and all(x.is_itemset for x in drawn)
 
 
 def test_sequence_masses_equal_the_table_bit_for_bit():
