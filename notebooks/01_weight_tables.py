@@ -19,7 +19,7 @@ A, B, C = 0, 1, 2
 
 def show(title, z, spec):
     t = weight_table(z, spec)
-    print(f"  {title:28s} {t.as_dict()}  total={t.total:g}")
+    print(f"  {title:28s} {t}  total={instance_weight(z, spec):g}")
 
 
 print("A plain itemset {A,B,C} has C(3,ell) patterns per norm ell;")
@@ -51,5 +51,5 @@ by_norm: dict[int, float] = {}
 for x in enumerate_patterns(z3):
     by_norm[x.norm] = by_norm.get(x.norm, 0.0) + pattern_measure(x, z3, spec)
 print(f"  enumerated area masses       {by_norm}")
-print(f"  closed-form area table       {weight_table(z3, spec).as_dict()}")
+print(f"  closed-form area table       {weight_table(z3, spec)}")
 print(f"  instance weight (area)       {instance_weight(z3, spec):g}")

@@ -30,8 +30,8 @@ from .model import (
     sequence,
     weighted_itemset,
 )
-from .sampling import draw_norm, draw_pattern_of_norm, sample_from_batch
-from .weighting import NormWeightTable, batch_weight, instance_weight, weight_table
+from .sampling import draw_pattern_of_norm, sample_from_batch
+from .weighting import batch_weight, instance_weight, weight_table
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "ConfigurationError",
     "Instance",
     "MeasureSpec",
-    "NormWeightTable",
     "ParseError",
     "Pattern",
     "PlainItemset",
@@ -55,7 +54,6 @@ __all__ = [
     "WeightOverflowError",
     "WeightedItemset",
     "batch_weight",
-    "draw_norm",
     "draw_pattern_of_norm",
     "format_measure",
     "instance_weight",

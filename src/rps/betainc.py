@@ -122,13 +122,13 @@ def binomial_survival(n: int, k: int, p: float) -> float:
     return reg_inc_beta(n, k - n + 1, p)
 
 
-def _largest_above(k_hi: int, trials: int, p: float, threshold: float) -> int:
-    # largest m in [0 .. k_hi] with P(Bin(trials, p) >= m) >= threshold;
+def _largest_above(k: int, p: float, threshold: float) -> int:
+    # largest m in [0 .. k] with P(Bin(k, p) >= m) >= threshold;
     # the survival is non-increasing in m and equals 1 at m = 0
-    lo, hi = 0, k_hi
+    lo, hi = 0, k
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if binomial_survival(mid, trials, p) >= threshold:
+        if binomial_survival(mid, k, p) >= threshold:
             lo = mid
         else:
             hi = mid - 1
@@ -154,4 +154,4 @@ def realisations_from_uniform(k: int, p: float, x: float) -> int:
     # rejection needs one survival evaluation, not a search
     if binomial_survival(1, k, p) < x:
         return 0
-    return _largest_above(k, k, p, x)
+    return _largest_above(k, p, x)

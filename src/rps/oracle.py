@@ -28,7 +28,6 @@ from .model import (
     Instance,
     Items,
     Pattern,
-    PlainItemset,
     Sequence,
     WeightedItemset,
     matches,
@@ -95,10 +94,6 @@ def pattern_measure(x: Pattern, z: Instance, spec: MeasureSpec) -> float:
     return u * spec.norm_utility(x.norm) if u else 0.0
 
 
-def batch_measure(x: Pattern, batch: Batch, spec: MeasureSpec) -> float:
-    return math.fsum(pattern_measure(x, z, spec) for z in batch.instances)
-
-
 def damping(gamma: float, t_now: float, t_then: float) -> float:
     """Exponential decay factor e^{-gamma (t_now - t_then)}.
 
@@ -112,6 +107,20 @@ def damping(gamma: float, t_now: float, t_then: float) -> float:
     return math.exp(-gamma * (t_now - t_then))
 
 
+def _damped(stream: SequenceOf[Batch], gamma: float, t_now: float | None) -> list[tuple]:
+    # each batch's instances, read once, and its damping factor at t_now
+    # (default: the last batch's timestamp)
+    if t_now is None and stream:
+        t_now = stream[-1].timestamp
+    return [(b.instances, damping(gamma, t_now, b.timestamp)) for b in stream]
+
+
+def _damped_measure(x: Pattern, damped: list, spec: MeasureSpec) -> float:
+    return math.fsum(
+        math.fsum(pattern_measure(x, z, spec) for z in zs) * factor for zs, factor in damped
+    )
+
+
 def global_utility(
     stream: SequenceOf[Batch],
     x: Pattern,
@@ -121,29 +130,13 @@ def global_utility(
 ) -> float:
     """Damped stream total of m(x, .), evaluated at t_now (default: the
     last batch's timestamp)."""
-    if t_now is None:
-        t_now = stream[-1].timestamp
-    return math.fsum(
-        batch_measure(x, b, spec) * damping(gamma, t_now, b.timestamp)
-        for b in stream
-    )
-
-
-def _support(batches: Iterable[Batch], max_norm: int | None) -> set[Pattern]:
-    support: set[Pattern] = set()
-    for b in batches:
-        for z in b.instances:
-            support |= enumerate_patterns(z, max_norm)
-    return support
+    return _damped_measure(x, _damped(stream, gamma, t_now), spec)
 
 
 def batch_law(batch: Batch, spec: MeasureSpec) -> dict[Pattern, float]:
-    """Exact law of one pattern draw from a batch: m(x, B) / w(B)."""
-    masses = {
-        x: batch_measure(x, batch, spec)
-        for x in _support([batch], spec.max_norm)
-    }
-    return _normalized(masses)
+    """Exact law of one pattern draw from a batch: m(x, B) / w(B), the
+    undamped stream law of the batch alone."""
+    return stream_law([batch], spec)
 
 
 def stream_law(
@@ -153,11 +146,12 @@ def stream_law(
     t_now: float | None = None,
 ) -> dict[Pattern, float]:
     """Exact damped stream law: Phi(x) over its total."""
-    masses = {
-        x: global_utility(stream, x, spec, gamma, t_now)
-        for x in _support(stream, spec.max_norm)
-    }
-    return _normalized(masses)
+    damped = _damped(stream, gamma, t_now)
+    support: set[Pattern] = set()
+    for zs, _ in damped:
+        for z in zs:
+            support |= enumerate_patterns(z, spec.max_norm)
+    return _normalized({x: _damped_measure(x, damped, spec) for x in support})
 
 
 def _normalized(masses: dict[Pattern, float]) -> dict[Pattern, float]:
@@ -201,7 +195,7 @@ def inv_draw_realisations(k: int, p: float, x: float) -> int:
         raise ValueError(f"uniform {x} is not in [0, p={p})")
     if k == 1:
         return 1
-    return 1 + _largest_above(k - 1, k - 1, p, x)
+    return 1 + _largest_above(k - 1, p, x)
 
 
 def draw_realisations_conditional(k: int, p: float, rng: Random) -> int:

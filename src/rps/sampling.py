@@ -2,13 +2,14 @@
 
 A pattern is drawn from a batch in three stages, each a discrete draw over
 precomputed mass: pick an instance proportionally to its mass, pick a norm
-by the prefix sums of its table (a plain itemset's cached one, else formed
-from its masses without building it), then pick a pattern by measure mass among
-the instance's patterns of that norm.  The staged draw follows the exact
+by the prefix sums of its plan (weighting's norms, masses and sums; a plain
+itemset's is cached), then pick a pattern by measure mass among the
+instance's patterns of that norm.  The staged draw follows the exact
 batch law m(x, B) / w(B) without enumerating patterns.
 
 A sequence pattern is drawn by its own counts (SequenceCounts.draw), which
-read the first-occurrence counting rows backwards, block by block.
+read the first-occurrence counting rows backwards, block by block; a batch
+draw keeps a picked sequence's counts with its plan.
 
 All randomness comes from the caller's random.Random, consumed in the fixed
 order instance, norm, pattern; replaying a seed replays the draws.
@@ -23,8 +24,7 @@ from random import Random
 from .measures import MeasureSpec
 from .model import Batch, Instance, Pattern, PlainItemset, Sequence, WeightedItemset
 from .model import _unchecked, instance_of
-from .weighting import NormWeightTable, _masses, batch_weight
-from .weighting import sequence_counts, weight_table
+from .weighting import SequenceCounts, _plan_of, batch_weight, sequence_counts
 
 
 def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
@@ -48,13 +48,6 @@ def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
         out.append(swap.get(j, j))
         swap[j] = swap.get(i, i)
     return out
-
-
-def draw_norm(table: NormWeightTable, rng: Random) -> int:
-    """Norm draw proportional to the table weights."""
-    if not table.norms:
-        raise ValueError("empty norm weight table")
-    return table.norms[bisect_right(table.cumulative, rng.random() * table.total)]
 
 
 def draw_pattern_of_norm(
@@ -88,13 +81,12 @@ def draw_pattern_of_norm(
 
 
 def _draw_plan(z: Instance, spec: MeasureSpec) -> tuple:
-    # z's norms of positive mass, their prefix sums, its weight_sums or None
-    weighted = isinstance(z, WeightedItemset)
-    if weighted or isinstance(z, Sequence):
-        norms, masses = zip(*_masses(z, spec))
-        return norms, list(accumulate(masses)), list(accumulate(z.weights)) if weighted else None
-    table = weight_table(z, spec)
-    return table.norms, table.cumulative, None
+    # z's norms of positive mass, their prefix sums, and what its pattern
+    # draw reads: a weighted itemset's weight_sums, a sequence's counts
+    norms, _, sums = _plan_of(z, spec)
+    if isinstance(z, Sequence):
+        return norms, sums, sequence_counts(z, spec.norm_cap(z.norm))
+    return norms, sums, list(accumulate(z.weights)) if isinstance(z, WeightedItemset) else None
 
 
 def sample_from_batch(
@@ -133,7 +125,10 @@ def sample_from_batch(
         if plan is None:
             z = instance_of(rows[zi])
             plan = plans[zi] = (z, *_draw_plan(z, spec))
-        z, norms, norm_sums, weight_sums = plan
+        z, norms, norm_sums, extra = plan
         ell = norms[bisect_right(norm_sums, rng.random() * norm_sums[-1])]
-        out.append(draw_pattern_of_norm(z, ell, spec, rng, weight_sums))
+        if isinstance(extra, SequenceCounts):
+            out.append(_unchecked(Pattern, extra.draw(ell, rng)))
+        else:
+            out.append(draw_pattern_of_norm(z, ell, spec, rng, extra))
     return out

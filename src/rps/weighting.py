@@ -1,8 +1,8 @@
-"""Closed-form norm weight tables.
+"""Closed-form norm masses.
 
-For an instance z and measure spec, the table maps each admissible pattern
-norm ell to the total measure mass of all distinct patterns of that norm
-contained in z:
+For an instance z and measure spec, each admissible pattern norm ell has a
+mass: the total measure mass of all distinct patterns of that norm
+contained in z,
 
   plain itemset, n items:     C(n, ell) * f(ell)
   weighted itemset, total W:  W * C(n-1, ell-1) * f(ell)
@@ -23,10 +23,11 @@ fold as i moves left.  Count vectors are packed ints, one digit per norm, so
 a convolution is one int product.  A draw reads the counts backwards and
 unranks each block from its tally, without enumerating subsets.
 
-A plain itemset's table depends on (n, spec) alone and is cached; a weighted
-itemset's multiplies its own W into cached (n, spec) terms.  A sequence's
-counts live in Sequence.memo and are freed with it; its masses are its
-counts times cached norm factors, so weighing and drawing build no table.
+An instance's plan holds its positive masses (W * c) * f(ell), W = 1.0 but
+for weighted itemsets, in norm order, with their prefix sums added left to
+right; tables, weights and draws all read it.  A plain itemset's plan depends
+on (n, spec) alone and is cached; a weighted itemset multiplies its own W
+into cached (n, spec) terms.  A sequence's counts live in Sequence.memo.
 
 Cost limits: counting admissible blocks is a hitting-set count, so the
 tally can still hold exponentially many sets when every gap intersection is
@@ -38,9 +39,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from random import Random
@@ -57,40 +56,9 @@ from .model import (
     WeightedItemset,
 )
 
-@dataclass(frozen=True, slots=True)
-class NormWeightTable:
-    """Positive mass per admissible norm, with a prefix-sum for draws."""
-
-    norms: tuple[int, ...]
-    weights: tuple[float, ...]
-    cumulative: tuple[float, ...]
-
-    def __post_init__(self):
-        if not (len(self.norms) == len(self.weights) == len(self.cumulative)):
-            raise ValueError("norms, weights, cumulative must align")
-        if any(a >= b for a, b in zip(self.norms, self.norms[1:])):
-            raise ValueError("norms must be strictly increasing")
-        if any(not w > 0 for w in self.weights):
-            raise ValueError("table weights must be positive")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, float]]) -> "NormWeightTable":
-        kept = [(ell, w) for ell, w in pairs if w > 0]
-        norms, weights = map(tuple, zip(*kept)) if kept else ((), ())
-        return cls(norms, weights, tuple(accumulate(weights)))
-
-    @property
-    def total(self) -> float:
-        return self.cumulative[-1] if self.cumulative else 0.0
-
-    def weight(self, ell: int) -> float:
-        i = bisect_left(self.norms, ell)
-        if i < len(self.norms) and self.norms[i] == ell:
-            return self.weights[i]
-        return 0.0
-
-    def as_dict(self) -> dict[int, float]:
-        return dict(zip(self.norms, self.weights))
+# an instance's norms of positive mass, those masses and their prefix sums
+Plan = tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]
+CacheInfo = namedtuple("CacheInfo", "hits misses")
 
 
 def _overflow(variant: type, n: int, spec: MeasureSpec) -> WeightOverflowError:
@@ -102,16 +70,35 @@ def _overflow(variant: type, n: int, spec: MeasureSpec) -> WeightOverflowError:
     )
 
 
-def _table(
-    variant: type, n: int, spec: MeasureSpec, masses: Iterable[tuple[int, float]]
-) -> NormWeightTable:
+def _plan(weight: float, terms: Iterable, variant: type, n: int, spec: MeasureSpec) -> Plan:
+    """The positive masses (W * c) * f of the (ell, c, f) terms, in norm
+    order, and their prefix sums, added left to right.  A mass or a total
+    past the float range is a WeightOverflowError."""
     try:
-        table = NormWeightTable.from_pairs(masses)
-    except OverflowError:  # a pattern count past the float range
+        # (W * c) * f, in this order, is the float product of the closed
+        # form; 1.0 * c is float(c), so a count's mass is c * f exactly
+        kept = [(ell, w) for ell, c, f in terms if (w := weight * c * f) > 0]
+    except OverflowError:  # W or a pattern count past the float range
         raise _overflow(variant, n, spec) from None
-    if table.total == math.inf:
+    norms, masses = map(tuple, zip(*kept)) if kept else ((), ())
+    sums = tuple(accumulate(masses))
+    if sums and sums[-1] == math.inf:
         raise _overflow(variant, n, spec)
-    return table
+    return norms, masses, sums
+
+
+def _summed(weight: float, terms: Iterable, variant: type, n: int, spec: MeasureSpec) -> float:
+    # the plan's last prefix sum, without the lists
+    try:
+        total = 0.0
+        for _, c, f in terms:
+            if (w := weight * c * f) > 0:
+                total += w
+        if total < math.inf:
+            return total
+    except OverflowError:
+        pass
+    raise _overflow(variant, n, spec)
 
 
 @lru_cache(maxsize=256)
@@ -126,32 +113,21 @@ def _norm_factors(variant: type, spec: MeasureSpec, cap: int) -> tuple[tuple[int
 
 
 @lru_cache(maxsize=None)
-def _itemset_shape(
-    variant: type, n: int, spec: MeasureSpec
-) -> NormWeightTable | tuple[tuple[int, int, float], ...]:
-    """The part of an n-item itemset's table that depends only on (variant,
-    n, spec): the whole table C(n, ell) * f(ell) of a plain itemset, or the
-    (ell, C(n-1, ell-1), f(ell)) terms that a weighted itemset's total W
-    multiplies.  Unbounded: keys are bounded by the distinct itemset sizes
-    of a stream times the few specs in use."""
+def _itemset_terms(variant: type, n: int, spec: MeasureSpec) -> tuple[tuple[int, int, float], ...]:
+    """(ell, c, f(ell)) per admissible norm of an n-item itemset: c = C(n,
+    ell), or C(n-1, ell-1) for a weighted itemset, whose W multiplies it.
+    Unbounded: keys are bounded by the distinct itemset sizes of a stream
+    times the few specs in use."""
     factors = _norm_factors(variant, spec, spec.norm_cap(n))
     if variant is WeightedItemset:
         return tuple((ell, math.comb(n - 1, ell - 1), f) for ell, f in factors)
-    return _table(variant, n, spec, ((ell, math.comb(n, ell) * f) for ell, f in factors))
+    return tuple((ell, math.comb(n, ell), f) for ell, f in factors)
 
 
-def _masses(z: WeightedItemset | Sequence, spec: MeasureSpec) -> Iterator[tuple[int, float]]:
-    """z's positive table entries (ell, mass) in norm order, W * C(n-1,
-    ell-1) * f(ell) or count(ell) * f(ell); _table reports overflow."""
-    if isinstance(z, WeightedItemset):
-        weight, terms = z.total_weight, _itemset_shape(WeightedItemset, z.norm, spec)
-    else:
-        weight, terms = 1.0, _sequence_terms(z, spec)
-    for ell, c, f in terms:
-        # (W * c) * f, in this order, is the float product of the closed form;
-        # 1.0 * c is float(c), so a sequence's mass is c * f exactly
-        if (w := weight * c * f) > 0:
-            yield ell, w
+@lru_cache(maxsize=None)
+def _plain_plan(n: int, spec: MeasureSpec) -> Plan:
+    # kept whole, so its terms bypass the terms cache
+    return _plan(1.0, _itemset_terms.__wrapped__(PlainItemset, n, spec), PlainItemset, n, spec)
 
 
 def _sequence_terms(z: Sequence, spec: MeasureSpec) -> Iterator[tuple[int, int, float]]:
@@ -164,66 +140,64 @@ def _sequence_terms(z: Sequence, spec: MeasureSpec) -> Iterator[tuple[int, int, 
             yield ell, counts[ell], f
 
 
-def _summed(weight: float, terms: Iterable, variant: type, n: int, spec: MeasureSpec) -> float:
-    # the sum of _masses left to right, like the table's total, without the pairs
-    try:
-        total = 0.0
-        for _, c, f in terms:
-            if (w := weight * c * f) > 0:
-                total += w
-        if total < math.inf:
-            return total
-    except OverflowError:  # W or a pattern count past the float range
-        pass
-    raise _overflow(variant, n, spec)
-
-
-def weight_table(z: Instance, spec: MeasureSpec) -> NormWeightTable:
-    """Norm weight table for one instance.
-
-    A plain itemset's table depends only on its size, so all plain itemsets
-    of one size share one cached table.  A weighted itemset's table is built
-    from the cached (size, spec) terms times its own total weight, and a
-    sequence's from its cached counts: neither table is kept.
-    """
+def _plan_of(z: Instance, spec: MeasureSpec) -> Plan:
+    # a plain itemset's is the cached one of its size; the others are not kept
     if isinstance(z, PlainItemset):
-        return _itemset_shape(PlainItemset, z.norm, spec)
+        return _plain_plan(z.norm, spec)
     if isinstance(z, WeightedItemset):
-        return _table(WeightedItemset, z.norm, spec, _masses(z, spec))
+        terms = _itemset_terms(WeightedItemset, z.norm, spec)
+        return _plan(z.total_weight, terms, WeightedItemset, z.norm, spec)
     if isinstance(z, Sequence):
-        return _table(Sequence, z.norm, spec, _masses(z, spec))
+        return _plan(1.0, _sequence_terms(z, spec), Sequence, z.norm, spec)
     raise TypeError(f"not an instance: {type(z).__name__}")
 
 
-# the itemset memo's hits and misses, read as the table cache's statistics
-weight_table.cache_info = _itemset_shape.cache_info
+def _total(plan: Plan) -> float:
+    sums = plan[2]
+    return sums[-1] if sums else 0.0
+
+
+def weight_table(z: Instance, spec: MeasureSpec) -> dict[int, float]:
+    """z's norm weight table: its positive mass per admissible norm."""
+    norms, masses, _ = _plan_of(z, spec)
+    return dict(zip(norms, masses))
+
+
+def _itemset_cache_info() -> CacheInfo:
+    # lookups of both itemset caches: plain plans and weighted terms
+    plans, terms = _plain_plan.cache_info(), _itemset_terms.cache_info()
+    return CacheInfo(plans.hits + terms.hits, plans.misses + terms.misses)
+
+
+weight_table.cache_info = _itemset_cache_info
 
 
 def instance_weight(z: Instance, spec: MeasureSpec) -> float:
-    """Total measure mass of all distinct patterns contained in z."""
+    """Total measure mass of all distinct patterns contained in z: the last
+    prefix sum of its plan, which a sequence sums without the lists."""
     if isinstance(z, Sequence):
         return _summed(1.0, _sequence_terms(z, spec), Sequence, z.norm, spec)
-    return weight_table(z, spec).total
+    return _total(_plan_of(z, spec))
 
 
 def batch_weight(batch: Batch, spec: MeasureSpec) -> tuple[float, list[float]]:
     """(w(B), the mass of each of the batch's rows, in row order).
 
     Rows that are sets of item ids (tx rows) are plain itemsets, weighed by
-    their sizes alone without building them: one table lookup per distinct
-    size.  Weighted itemsets look their (size, spec) terms up once
-    per distinct size too, and sum them without a table, as sequences sum
-    their masses.  The floats equal instance_weight's either way.
+    their sizes alone without building them: one plan lookup per distinct
+    size.  Weighted itemsets look their (size, spec) terms up once per
+    distinct size too, and sum them without a plan, as sequences sum their
+    masses.  The floats equal instance_weight's either way.
     """
     rows = batch.rows
     if rows and isinstance(rows[0], set):
         sizes = list(map(len, rows))
-        mass_of = {n: _itemset_shape(PlainItemset, n, spec).total for n in set(sizes)}
+        mass_of = {n: _total(_plain_plan(n, spec)) for n in set(sizes)}
         masses = list(map(mass_of.__getitem__, sizes))
     elif batch.variant is WeightedItemset:
-        shapes = {n: _itemset_shape(WeightedItemset, n, spec) for n in {z.norm for z in rows}}
+        terms = {n: _itemset_terms(WeightedItemset, n, spec) for n in {z.norm for z in rows}}
         masses = [
-            _summed(z.total_weight, shapes[z.norm], WeightedItemset, z.norm, spec) for z in rows
+            _summed(z.total_weight, terms[z.norm], WeightedItemset, z.norm, spec) for z in rows
         ]
     else:
         masses = [instance_weight(z, spec) for z in rows]
@@ -463,7 +437,6 @@ class SequenceCounts:
             raise ValueError(f"norm {ell} outside [1, {self.cap}]")
 
 
-CacheInfo = namedtuple("CacheInfo", "hits misses")
 _counts_lookups = {"hits": 0, "misses": 0}
 
 

@@ -43,7 +43,7 @@ from rps.model import (
     weighted_itemset,
 )
 from rps.sampling import sample_from_batch
-from rps.weighting import batch_weight, weight_table
+from rps.weighting import batch_weight, instance_weight, weight_table
 
 import conftest
 import streamgen
@@ -64,17 +64,17 @@ TV_BOUND = 0.01
 def test_criterion_1_fixture_values(seq_stream, weighted_stream):
     # weight tables
     abc = plain_itemset([A, B, C])
-    assert weight_table(abc, FREQ).as_dict() == {1: 3, 2: 3, 3: 1}
-    assert weight_table(abc, FREQ).total == 7
-    assert weight_table(abc, AREA).as_dict() == {1: 3, 2: 6, 3: 3}
+    assert weight_table(abc, FREQ) == {1: 3, 2: 3, 3: 1}
+    assert instance_weight(abc, FREQ) == 7
+    assert weight_table(abc, AREA) == {1: 3, 2: 6, 3: 3}
     wz = weighted_itemset({A: 2.0, B: 1.5, C: 2.0})
-    assert weight_table(wz, UTIL).as_dict() == {1: 5.5, 2: 11.0, 3: 5.5}
-    assert weight_table(wz, UTIL).total == 22.0
-    assert weight_table(wz, AVGUTIL).as_dict() == pytest.approx(
+    assert weight_table(wz, UTIL) == {1: 5.5, 2: 11.0, 3: 5.5}
+    assert instance_weight(wz, UTIL) == 22.0
+    assert weight_table(wz, AVGUTIL) == pytest.approx(
         {1: 5.5, 2: 5.5, 3: 5.5 / 3}, rel=1e-12
     )
     z3 = seq_stream[1].instances[0]
-    assert weight_table(z3, FREQ).as_dict() == {1: 3, 2: 5, 3: 4, 4: 1}
+    assert weight_table(z3, FREQ) == {1: 3, 2: 5, 3: 4, 4: 1}
 
     # batch weight and acceptance probabilities
     b1 = Batch(1.0, (plain_itemset([A, B, C]), plain_itemset([A, C])))
@@ -126,7 +126,7 @@ def test_criterion_2_tables_match_enumeration():
                         m = oracle.pattern_measure(x, z, spec)
                         if m > 0:
                             want.setdefault(x.norm, []).append(m)
-                    got = weight_table(z, spec).as_dict()
+                    got = weight_table(z, spec)
                     assert got.keys() == want.keys(), (z, spec)
                     for ell, parts in want.items():
                         assert got[ell] == pytest.approx(

@@ -119,7 +119,7 @@ def test_reject_first_matches_the_search(monkeypatch):
             for x in xs:
                 if x < 1.0:
                     assert realisations_from_uniform(k, p, x) == _largest_above(
-                        k, k, p, x
+                        k, p, x
                     ), (k, p, x)
 
     calls = []

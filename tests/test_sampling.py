@@ -15,12 +15,11 @@ from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import Batch, Pattern, PlainItemset, matches, plain_itemset, sequence
 from rps.model import weighted_itemset
 from rps.sampling import (
-    draw_norm,
     draw_pattern_of_norm,
     sample_distinct_indices,
     sample_from_batch,
 )
-from rps.weighting import NormWeightTable, batch_weight, weight_table
+from rps.weighting import batch_weight, weight_table
 
 import streamgen
 from conftest import A, B, C, D
@@ -91,14 +90,15 @@ def test_draw_instance_proportional():
 
 def test_draw_norm_follows_table():
     rng = random.Random(4)
-    table = weight_table(plain_itemset([A, B, C]), FREQ)  # {1:3, 2:3, 3:1}
-    counts = Counter(draw_norm(table, rng) for _ in range(70_000))
+    z = plain_itemset([A, B, C])
+    assert weight_table(z, FREQ) == {1: 3, 2: 3, 3: 1}
+    counts = Counter(x.norm for x in sample_from_batch(Batch(1.0, (z,)), FREQ, 70_000, rng))
     assert counts[1] / 70_000 == pytest.approx(3 / 7, abs=0.01)
     assert counts[2] / 70_000 == pytest.approx(3 / 7, abs=0.01)
     assert counts[3] / 70_000 == pytest.approx(1 / 7, abs=0.01)
-    empty = weight_table(plain_itemset([A]), MeasureSpec(BaseMeasure.FREQ, min_norm=2))
+    empty = Batch(1.0, (plain_itemset([A]),))
     with pytest.raises(ValueError):
-        draw_norm(empty, rng)
+        sample_from_batch(empty, MeasureSpec(BaseMeasure.FREQ, min_norm=2), 1, rng)
 
 
 def test_plain_pattern_draw_uniform_within_norm():
@@ -232,9 +232,9 @@ def test_batch_draw_norm_band():
         assert 2 <= x.norm <= 3
 
 
-def test_weighted_batch_draw_builds_no_table(monkeypatch):
+def test_weighted_batch_draw_builds_no_table():
     # the norm comes from prefix sums equal to the table's, bit for bit, so
-    # the draws are those of draw_norm over weight_table with the same seed
+    # the draws are those of a bisect over weight_table with the same seed
     rng = random.Random(13)
     batch = Batch(1.0, tuple(streamgen.random_weighted(rng, 30, 12) for _ in range(20)))
     for spec in (UTIL, MeasureSpec(BaseMeasure.AVGUTIL, min_norm=2, max_norm=5)):
@@ -243,17 +243,11 @@ def test_weighted_batch_draw_builds_no_table(monkeypatch):
         want = []
         for _ in range(300):
             z = batch.instances[bisect_right(cum, ref.random() * cum[-1])]
-            ell = draw_norm(weight_table(z, spec), ref)
+            table = weight_table(z, spec)
+            sums = list(itertools.accumulate(table.values()))
+            ell = list(table)[bisect_right(sums, ref.random() * sums[-1])]
             want.append(draw_pattern_of_norm(z, ell, spec, ref))
-
-        def refuse(self):
-            raise AssertionError("a NormWeightTable was built")
-
-        with monkeypatch.context() as m:
-            m.setattr(NormWeightTable, "__post_init__", refuse)
-            with pytest.raises(AssertionError, match="was built"):
-                weight_table(batch.instances[0], spec)
-            got = sample_from_batch(batch, spec, 300, random.Random(5))
+        got = sample_from_batch(batch, spec, 300, random.Random(5))
         assert got == want
 
 

@@ -23,6 +23,8 @@ from rps.model import (
 )
 from rps.weighting import (
     SequenceCounts,
+    _plan_of,
+    _total,
     batch_weight,
     instance_weight,
     sequence_counts,
@@ -43,39 +45,40 @@ AVGUTIL = MeasureSpec(BaseMeasure.AVGUTIL)
 def test_plain_tables_fixture():
     z = plain_itemset([A, B, C])
     t = weight_table(z, FREQ)
-    assert t.as_dict() == {1: 3, 2: 3, 3: 1}
-    assert t.total == 7
-    assert weight_table(z, AREA).as_dict() == {1: 3, 2: 6, 3: 3}
-    assert weight_table(z, AREA).total == 12
+    assert t == {1: 3, 2: 3, 3: 1}
+    assert instance_weight(z, FREQ) == 7
+    assert weight_table(z, AREA) == {1: 3, 2: 6, 3: 3}
+    assert instance_weight(z, AREA) == 12
     half = MeasureSpec(BaseMeasure.DECAY, alpha=0.5)
-    assert weight_table(z, half).as_dict() == {1: 1.5, 2: 0.75, 3: 0.125}
+    assert weight_table(z, half) == {1: 1.5, 2: 0.75, 3: 0.125}
 
 
 def test_plain_tables_norm_band():
     z = plain_itemset([A, B, C])
     banded = weight_table(z, MeasureSpec(BaseMeasure.FREQ, max_norm=2))
-    assert banded.as_dict() == {1: 3, 2: 3}
+    assert banded == {1: 3, 2: 3}
     floor = weight_table(z, MeasureSpec(BaseMeasure.FREQ, min_norm=2))
-    assert floor.as_dict() == {2: 3, 3: 1}
+    assert floor == {2: 3, 3: 1}
     # floor above the instance norm leaves nothing
-    empty = weight_table(z, MeasureSpec(BaseMeasure.FREQ, min_norm=4))
-    assert empty.norms == () and empty.total == 0.0
+    above = MeasureSpec(BaseMeasure.FREQ, min_norm=4)
+    assert weight_table(z, above) == {} and instance_weight(z, above) == 0.0
 
 
 def test_weighted_tables_fixture():
     z = weighted_itemset({A: 2.0, B: 1.5, C: 2.0})
     t = weight_table(z, UTIL)
-    assert t.as_dict() == {1: 5.5, 2: 11.0, 3: 5.5}
-    assert t.total == 22.0
+    assert t == {1: 5.5, 2: 11.0, 3: 5.5}
+    assert instance_weight(z, UTIL) == 22.0
     avg = weight_table(z, AVGUTIL)
-    assert avg.as_dict() == pytest.approx({1: 5.5, 2: 5.5, 3: 5.5 / 3})
+    assert avg == pytest.approx({1: 5.5, 2: 5.5, 3: 5.5 / 3})
 
 
 def test_table_lookup_helpers():
-    t = weight_table(plain_itemset([A, B, C]), FREQ)
-    assert t.weight(2) == 3
-    assert t.weight(4) == 0.0
-    assert t.cumulative == (3, 6, 7)
+    z = plain_itemset([A, B, C])
+    t = weight_table(z, FREQ)
+    assert t.get(2, 0.0) == 3
+    assert t.get(4, 0.0) == 0.0
+    assert _draw_plan(z, FREQ)[1] == (3, 6, 7)
 
 
 def test_variant_base_mismatch():
@@ -93,11 +96,11 @@ def test_sequence_counts_fixture():
     # z3 = <{B}{A,C}{A}>: 3 singles, 5 pairs, 4 triples, 1 quadruple
     z3 = sequence([[B], [A, C], [A]])
     t = weight_table(z3, FREQ)
-    assert t.as_dict() == {1: 3, 2: 5, 3: 4, 4: 1}
-    assert t.total == 13
+    assert t == {1: 3, 2: 5, 3: 4, 4: 1}
+    assert instance_weight(z3, FREQ) == 13
     # repeated itemset: <{A}{A}> holds only {A} and <{A}{A}>
     rep = sequence([[A], [A]])
-    assert weight_table(rep, FREQ).as_dict() == {1: 1, 2: 1}
+    assert weight_table(rep, FREQ) == {1: 1, 2: 1}
     counts = sequence_counts(z3, 4)
     assert [counts.count(ell) for ell in (1, 2, 3, 4)] == [3, 5, 4, 1]
     with pytest.raises(ValueError):
@@ -159,7 +162,7 @@ def test_sequence_counts_match_enumeration_on_nested_itemsets():
             continue
         checked += 1
         want = streamgen.enumeration_table(z, FREQ)
-        assert weight_table(z, FREQ).as_dict() == want, z
+        assert weight_table(z, FREQ) == want, z
 
 
 def _direct_sum_table(counts: SequenceCounts) -> list[list[int]]:
@@ -339,7 +342,7 @@ def test_tables_match_enumeration_randomized():
             for base_spec in streamgen.base_measures(variant):
                 for mn, mx in streamgen.NORM_SETTINGS:
                     spec = streamgen.with_norms(base_spec, mn, mx)
-                    got = weight_table(z, spec).as_dict()
+                    got = weight_table(z, spec)
                     want = streamgen.enumeration_table(z, spec)
                     assert got.keys() == want.keys(), (z, spec)
                     for ell in want:
@@ -352,9 +355,9 @@ def test_tables_match_enumeration_randomized():
 
 def test_weight_table_is_cached():
     z = plain_itemset([A, B])
-    assert weight_table(z, FREQ) is weight_table(plain_itemset([B, A]), FREQ)
+    assert _plan_of(z, FREQ) is _plan_of(plain_itemset([B, A]), FREQ)
     # a plain itemset's table depends only on its size
-    assert weight_table(z, FREQ) is weight_table(plain_itemset([C, 7]), FREQ)
+    assert _plan_of(z, FREQ) is _plan_of(plain_itemset([C, 7]), FREQ)
 
 
 def test_weighted_tables_are_the_closed_form_bit_for_bit():
@@ -369,13 +372,15 @@ def test_weighted_tables_are_the_closed_form_bit_for_bit():
                 for ell in range(spec.min_norm, spec.norm_cap(z.norm) + 1)
             }
             t = weight_table(z, spec)
-            assert t.as_dict() == want
-            assert t.cumulative == tuple(itertools.accumulate(want.values()))
-            assert instance_weight(z, spec) == t.total
+            assert t == want
+            sums = _plan_of(z, spec)[2]
+            assert sums == tuple(itertools.accumulate(want.values()))
+            assert instance_weight(z, spec) == (sums[-1] if sums else 0.0)
 
 
 def test_itemset_memo_holds_one_entry_per_shape():
-    weighting._itemset_shape.cache_clear()
+    weighting._plain_plan.cache_clear()
+    weighting._itemset_terms.cache_clear()
     rng = random.Random(8)
     shapes = set()
     # lookups the weighing alone makes: one per plain instance, and one per
@@ -393,7 +398,10 @@ def test_itemset_memo_holds_one_entry_per_shape():
             weighed += len(sizes) if variant is PlainItemset else len(set(sizes))
             sampler.process_batch(batch)
     info = weight_table.cache_info()
-    assert info.currsize == info.misses == len(shapes)
+    currsize = sum(
+        f.cache_info().currsize for f in (weighting._plain_plan, weighting._itemset_terms)
+    )
+    assert currsize == info.misses == len(shapes)
     assert info.hits + info.misses >= weighed > 7_500
 
 
@@ -447,15 +455,28 @@ def test_block_unranking_carries_the_binomial():
     assert len(drawn) == 50 and all(x.is_itemset for x in drawn)
 
 
-def test_sequence_masses_equal_the_table_bit_for_bit():
-    # batch_weight and the draw plan sum a sequence's masses without a
-    # table; decay:1e-30 underflows to 0.0 from norm 11, so those norms drop
+def _left_to_right(values) -> float:
+    # the builtin sum over floats is compensated from Python 3.12 on
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_masses_equal_the_plan_bit_for_bit():
+    # each batch_weight branch (tx rows, plain instances, weighted itemsets,
+    # sequences) weighs a row as instance_weight does, as the last prefix sum
+    # of its draw plan and as its table summed left to right, bit for bit;
+    # decay:1e-30 underflows to 0.0 from norm 11, so those norms drop
     rng = random.Random(4242)
-    cases = [
+    seqs = [
         _nested_sequence(rng, rng.choice((3, 6, 10)), rng.randint(1, 10)) for _ in range(60)
     ]
-    cases += [streamgen.random_sequence(rng) for _ in range(60)]
-    cases += [sequence([range(n)]) for n in (1, 5, 14)]
+    seqs += [streamgen.random_sequence(rng) for _ in range(60)]
+    seqs += [sequence([range(n)]) for n in (1, 5, 14)]
+    plain = [streamgen.random_plain(rng, 40, 30) for _ in range(60)]
+    plain += [plain_itemset(range(n)) for n in (1, 5, 14, 200)]
+    weighted = [streamgen.random_weighted(rng, 40, 30) for _ in range(60)]
     specs = [
         FREQ,
         AREA,
@@ -465,23 +486,45 @@ def test_sequence_masses_equal_the_table_bit_for_bit():
         MeasureSpec(BaseMeasure.AREA, max_norm=4),
         MeasureSpec(BaseMeasure.DECAY, alpha=0.5, min_norm=2, max_norm=5),
     ]
+    weighted_specs = [
+        UTIL,
+        AVGUTIL,
+        MeasureSpec(BaseMeasure.UTIL, min_norm=3),
+        MeasureSpec(BaseMeasure.AVGUTIL, min_norm=2, max_norm=5),
+    ]
+    batches = [
+        (Batch(1.0, tuple(set(z.items) for z in plain)), specs),
+        (Batch(1.0, tuple(plain)), specs),
+        (Batch(1.0, tuple(weighted)), weighted_specs),
+        (Batch(1.0, tuple(seqs)), specs),
+    ]
     dropped = 0
-    for spec in specs:
-        total, masses = batch_weight(Batch(1.0, tuple(cases)), spec)
-        for z, mass in zip(cases, masses):
-            table = weight_table(z, spec)
-            assert mass.hex() == table.total.hex(), (z, spec)
-            if table.norms:
-                norms, sums, _ = _draw_plan(z, spec)
-                assert (norms, tuple(sums)) == (table.norms, table.cumulative), (z, spec)
-            dropped += spec.alpha == 1e-30 and table.norms[-1] < z.norm
+    for batch, batch_specs in batches:
+        for spec in batch_specs:
+            masses = batch_weight(batch, spec)[1]
+            for z, mass in zip(batch.instances, masses):
+                table = weight_table(z, spec)
+                assert instance_weight(z, spec).hex() == mass.hex(), (z, spec)
+                assert _left_to_right(table.values()).hex() == mass.hex(), (z, spec)
+                if table:
+                    norms, sums, _ = _draw_plan(z, spec)
+                    assert norms == tuple(table), (z, spec)
+                    assert sums == tuple(itertools.accumulate(table.values())), (z, spec)
+                    assert sums[-1].hex() == mass.hex(), (z, spec)
+                dropped += spec.alpha == 1e-30 and max(table) < z.norm
     assert dropped > 10
     # a sequence shorter than min_norm weighs 0.0 without building counts
     short = (sequence([[1], [2]]), sequence([range(2)]), sequence([[7]]))
     built = sequence_counts.cache_info()
     assert batch_weight(Batch(1.0, short), specs[4]) == (0.0, [0.0] * 3)
-    assert weight_table(short[0], specs[4]).total == 0.0
+    assert instance_weight(short[0], specs[4]) == 0.0 and weight_table(short[0], specs[4]) == {}
     assert sequence_counts.cache_info() == built and not any(z.memo for z in short)
+
+
+def test_summation_order_is_pinned():
+    # masses add left to right; math.fsum would give 0x1.3894c447c30d3p-1
+    z = plain_itemset(range(5))
+    assert instance_weight(z, parse_measure("decay:0.1")).hex() == "0x1.3894c447c30d2p-1"
 
 
 def test_weighted_and_batch_overflow_are_typed():
@@ -514,8 +557,9 @@ def test_total_weight_decomposition():
             z = streamgen.random_instance(rng, variant)
             spec = streamgen.base_measures(variant)[0]
             t = weight_table(z, spec)
-            assert t.total == pytest.approx(math.fsum(t.weights), rel=1e-12)
-            assert instance_weight(z, spec) == t.total
+            total = _total(_plan_of(z, spec))
+            assert total == pytest.approx(math.fsum(t.values()), rel=1e-12)
+            assert instance_weight(z, spec) == total
 
 
 def test_total_weight_is_the_w_of_the_util_table():
@@ -523,4 +567,4 @@ def test_total_weight_is_the_w_of_the_util_table():
     # rounded 0.6 wherever the sampler reads it
     z = weighted_itemset({A: 0.1, B: 0.2, C: 0.3})
     assert z.total_weight == 0.6
-    assert weight_table(z, UTIL).weight(1) == z.total_weight
+    assert weight_table(z, UTIL).get(1, 0.0) == z.total_weight
