@@ -39,7 +39,7 @@ from .errors import (
     WeightOverflowError,
 )
 from .measures import MeasureSpec
-from .model import Batch, Instance, Pattern, matches
+from .model import Batch, Instance, Items, Pattern, matches
 from .sampling import sample_distinct_indices, sample_from_batch
 from .weighting import batch_weight
 
@@ -60,46 +60,35 @@ class Featurizer:
     """Containment bits of probes against a fixed list of patterns.
 
     Each pattern is filed, by slot, under the smallest item of its first
-    element.  A pattern contained in a probe has that item somewhere in the
-    probe, so a probe visits only the buckets of its own distinct items.  A
-    probe of one itemset confirms each slot found there with matches.  A
-    probe of several itemsets first screens it: a contained pattern's items
-    all lie in the union of the probe's itemsets, so matches is called only
-    for the slots that pass.  The set of each pattern's items is built on
-    the first such probe, so itemset streams never build it.  The bits
-    equal [1 if matches(x, z) else 0 for x in patterns].
+    element, with a screen: its items.  A pattern contained in a probe has
+    all its items among the probe's distinct items, so a probe visits only
+    the buckets of those items, and matches runs only for the slots whose
+    screen they cover; matches still decides order and placement.  A
+    pattern of one element is screened by that element, a sorted tuple, so
+    itemset reservoirs build nothing for the screen; a pattern of several
+    elements by the frozenset of its items.  The bits equal
+    [1 if matches(x, z) else 0 for x in patterns].
     """
 
-    __slots__ = ("_patterns", "_buckets", "_items")
+    __slots__ = ("_patterns", "_buckets")
 
     def __init__(self, patterns: list[Pattern]):
         self._patterns = patterns
-        self._buckets: dict[int, list[tuple[int, Pattern]]] = {}
+        self._buckets: dict[int, list[tuple[int, Pattern, Items | frozenset[int]]]] = {}
         for slot, pat in enumerate(patterns):
-            self._buckets.setdefault(pat.elements[0][0], []).append((slot, pat))
-        self._items: list[frozenset[int]] | None = None
+            e = pat.elements
+            screen = e[0] if len(e) == 1 else frozenset().union(*e)
+            self._buckets.setdefault(e[0][0], []).append((slot, pat, screen))
 
     def __call__(self, z: Instance) -> list[int]:
         bits = [0] * len(self._patterns)
         buckets = self._buckets
-        elements = z.elements
+        items = set().union(*z.elements)
         # matches is read from this module on each call, where
         # perfbench/tracer.py counts it
-        if len(elements) == 1:
-            # an itemset's items are distinct already, and a screen costs
-            # more than the few slots of its buckets
-            for item in elements[0]:
-                for slot, pat in buckets.get(item, ()):
-                    if matches(pat, z):
-                        bits[slot] = 1
-            return bits
-        items = set().union(*elements)
-        if self._items is None:
-            self._items = [frozenset().union(*pat.elements) for pat in self._patterns]
-        items_of = self._items
-        for item in items:
-            for slot, pat in buckets.get(item, ()):
-                if items_of[slot] <= items and matches(pat, z):
+        for item in buckets.keys() & items:
+            for slot, pat, screen in buckets[item]:
+                if items.issuperset(screen) and matches(pat, z):
                     bits[slot] = 1
         return bits
 

@@ -15,7 +15,7 @@ from rps.errors import (
     StreamOrderError,
     WeightOverflowError,
 )
-from rps import model
+from rps import engine, model
 from rps.formats import write_snapshot
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import (
@@ -256,7 +256,7 @@ def test_featurizer_equals_containment_on_made_cases():
     assert Featurizer(sequences)(z) == _containment(sequences, z)
 
 
-# (pattern, probe, its bit).  Every multi-itemset probe but the last holds
+# (pattern, probe, its bit).  Every probe but those of the last group holds
 # all the pattern's items, so the item screen passes and matches decides
 SCREENED = [
     # the right items in the wrong order
@@ -272,12 +272,14 @@ SCREENED = [
     (pattern([[A, C]]), sequence([[A], [C]]), 0),
     (pattern([[A, C]]), sequence([[B], [A, C]]), 1),
     (pattern([[C]]), sequence([[A], [B, C]]), 1),
-    # one-itemset probes, which are not screened
+    # one-itemset probes, screened like the others
     (pattern([[A], [B]]), sequence([[A, B]]), 0),
     (pattern([[A], [A]]), sequence([[A]]), 0),
     (pattern([[A, B]]), sequence([[A, B, C]]), 1),
     # an item the probe lacks fails the screen
     (pattern([[A], [D]]), sequence([[A], [B]]), 0),
+    (pattern([[A], [D]]), sequence([[A, B]]), 0),
+    (pattern([[A, D]]), sequence([[A, B]]), 0),
 ]
 
 
@@ -330,6 +332,7 @@ def test_rps_featurize_screen_leaves_the_bit_to_matches(tmp_path):
 @pytest.mark.parametrize("variant", streamgen.VARIANTS)
 def test_featurizer_equals_containment_on_random_reservoirs(variant):
     rng = random.Random(f"featurize/{variant}")
+    one_itemset = random.Random(f"featurize/{variant}/one-itemset")
     spec = streamgen.base_measures(variant)[0]
     # probes draw from a wider alphabet than the stream, so some of their
     # items are in no pattern
@@ -344,11 +347,53 @@ def test_featurizer_equals_containment_on_random_reservoirs(variant):
             s.process_batch(Batch(float(t), streamgen.random_batch(rng, variant).instances))
         patterns = [x for _, x in s.snapshot()]
         featurize = Featurizer(patterns)
-        for _ in range(20):
-            z = probe()
+        probes = [probe() for _ in range(20)]
+        if variant == "sequence":
+            # one-itemset probes too, from their own rng so that the probes
+            # above stay as they were
+            probes += [
+                sequence([one_itemset.sample(range(7), one_itemset.randint(1, 7))])
+                for _ in range(20)
+            ]
+        for z in probes:
             want = _containment(patterns, z)
             assert featurize(z) == want
             assert s.feature_vector(z) == want
+
+
+@pytest.mark.parametrize("variant", streamgen.VARIANTS)
+def test_matches_runs_only_for_slots_that_pass_the_screen(monkeypatch, variant):
+    rng = random.Random(f"featurize/calls/{variant}")
+    spec = streamgen.base_measures(variant)[0]
+    probe = {
+        "plain": lambda: streamgen.random_plain(rng),
+        "weighted": lambda: streamgen.random_weighted(rng),
+        "sequence": lambda: streamgen.random_sequence(rng, alphabet=7),
+    }[variant]
+    calls = []
+
+    def counted(x, z):
+        calls.append(x)
+        return matches(x, z)
+
+    monkeypatch.setattr(engine, "matches", counted)
+    for trial in range(10):
+        s = ReservoirSampler(spec, capacity=rng.choice((1, 5, 30)), damping=0.1, seed=trial)
+        for t in range(1, 6):
+            s.process_batch(Batch(float(t), streamgen.random_batch(rng, variant).instances))
+        featurize = Featurizer([x for _, x in s.snapshot()])
+        for _ in range(40):
+            z = probe()
+            calls.clear()
+            bits = featurize(z)
+            items = set().union(*z.elements)
+            # no call for a pattern with an item the probe lacks, and one
+            # for every 1 bit
+            assert all(items.issuperset(e) for x in calls for e in x.elements)
+            assert sum(bits) <= len(calls)
+            if variant != "sequence":
+                # an itemset holding a pattern's items contains the pattern
+                assert len(calls) == sum(bits)
 
 
 def test_feature_vector_follows_accepted_batches():
