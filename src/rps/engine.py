@@ -148,8 +148,7 @@ class ReservoirSampler:
     def process_batch(self, batch: Batch) -> BatchReport:
         """Offer one batch to the reservoir.  A batch that raises changes
         nothing: it is validated and weighed before any state moves.  It is
-        weighed from its rows, and a row's instance is built only when a draw
-        from the accepted batch picks it."""
+        weighed and drawn from its rows, so no instance is built."""
         t = batch.timestamp
         if not math.isfinite(t):
             raise StreamOrderError(f"batch timestamp {t} is not finite")

@@ -18,11 +18,9 @@ line's first token, so a refused line leaves the catalog as it was; the
 line's tokens are then interned in token order in one Catalog call, and a
 wtx or seq-spmf row is built without the constructor's checks, made already.
 
-parse_instance and read_instances build each line's instance at once.
-iter_batches puts the rows in its batches, and a draw builds the
-PlainItemset of only the tx rows it picks, so a rejected tx batch builds
-none; a row the parser gave always builds.  Batches carry no labels;
-read_instances yields them.
+parse_instance and read_instances build each line's instance at once;
+iter_batches puts the rows in its batches without Batch's checks, which the
+parser made.  Batches carry no labels; read_instances yields them.
 
 Pattern text is "{a,b}" for itemset patterns and "<{a}{b,c}>" for sequence
 patterns, tokens in item-id (interning) order, so the catalog refuses a
@@ -278,12 +276,13 @@ def iter_batches(
     consecutive lines with equal timestamps form one batch; batch_size is
     ignored and timestamps must be finite and must not decrease.
 
-    Labels are not kept; read_instances gives them.  A bad batch size or
-    timestamp mode raises ConfigurationError from the call, before any line
-    is read.
+    Labels are not kept; read_instances gives them.  An unknown format
+    raises ParseError, and a bad batch size or timestamp mode
+    ConfigurationError, from the call, before any line is read.
     """
+    parse = _parser(fmt)
     if timestamps == "explicit":
-        return _iter_batches_explicit(lines, fmt, catalog)
+        return _iter_batches_explicit(lines, parse, catalog)
     if timestamps != "ordinal":
         raise ConfigurationError(f"unknown timestamp mode {timestamps!r}")
     if isinstance(batch_size, str) and batch_size != "marker":
@@ -293,15 +292,15 @@ def iter_batches(
             raise ConfigurationError(f"bad batch size {batch_size!r}") from None
     if isinstance(batch_size, int) and batch_size < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
-    return _iter_batches_ordinal(lines, fmt, catalog, batch_size)
+    return _iter_batches_ordinal(lines, parse, catalog, batch_size)
 
 
 def _iter_batches_ordinal(
-    lines: Iterable[str], fmt: str, catalog: Catalog, batch_size: int | str
+    lines: Iterable[str], parse: Callable, catalog: Catalog, batch_size: int | str
 ) -> Iterator[Batch]:
     t = 0.0
     pending: list[Row] = []
-    for _, row, _ in _read(lines, _parser(fmt), catalog):
+    for _, row, _ in _read(lines, parse, catalog):
         if row is not None:
             pending.append(row)
             if len(pending) != batch_size:
@@ -309,16 +308,15 @@ def _iter_batches_ordinal(
         elif batch_size != "marker" or not pending:
             continue
         t += 1.0
-        yield Batch(t, tuple(pending))
+        yield _unchecked(Batch, t, tuple(pending))
         pending = []
     if pending:
-        yield Batch(t + 1.0, tuple(pending))
+        yield _unchecked(Batch, t + 1.0, tuple(pending))
 
 
 def _iter_batches_explicit(
-    lines: Iterable[str], fmt: str, catalog: Catalog
+    lines: Iterable[str], parse: Callable, catalog: Catalog
 ) -> Iterator[Batch]:
-    parse = _parser(fmt)
     last = -math.inf
 
     def parse_stamped(line: str, catalog: Catalog) -> tuple[float, Row]:
@@ -342,12 +340,12 @@ def _iter_batches_explicit(
         if row is None:
             continue
         if t != current_t and pending:
-            yield Batch(current_t, tuple(pending))
+            yield _unchecked(Batch, current_t, tuple(pending))
             pending = []
         current_t = t
         pending.append(row)
     if pending:
-        yield Batch(current_t, tuple(pending))
+        yield _unchecked(Batch, current_t, tuple(pending))
 
 
 def write_snapshot(

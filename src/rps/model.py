@@ -2,8 +2,8 @@
 
 Items are dense non-negative integer ids; a Catalog maps them back to the
 original string tokens.  Every itemset is stored as a strictly increasing
-tuple of ids, which makes all model objects hashable and gives each pattern
-exactly one representation.
+tuple of ids, which makes instances and patterns hashable and gives each
+pattern exactly one representation.  A Batch is a frozen record of its rows.
 """
 
 from __future__ import annotations
@@ -226,70 +226,57 @@ _set = object.__setattr__
 def _unchecked(cls: type, *values):
     """cls(*values), a Sequence with a fresh memo, without __post_init__'s
     checks: only for rps.formats' parsers, which check each line in full, and
-    rps.sampling's draws, whose items are distinct and sorted by construction."""
+    batches of their rows, and rps.sampling's draws, sorted by construction."""
     obj = object.__new__(cls)
     _set(obj, cls.__slots__[0], values[0])
-    if len(values) > 1:  # a WeightedItemset's weights
+    if len(values) > 1:  # a WeightedItemset's weights, a Batch's rows
         _set(obj, cls.__slots__[1], values[1])
+        if cls is Batch:  # of one format's rows, never empty
+            kind = type(values[1][0])
+            _set(obj, "variant", PlainItemset if kind is set else kind)
     elif cls is Sequence:
         _set(obj, "memo", {})
     return obj
 
 
+@dataclass(frozen=True, slots=True)
 class Batch:
     """Timestamped group of same-variant rows; may be empty.
 
     A row is an instance, or a tx line's set of distinct item ids, which
-    stands for its PlainItemset (instance_of).  rows is what the batch
-    holds, and variant is its instance type (None when empty); reading
-    either builds nothing, so a batch is weighed from its rows.  instances
-    derives the instances from the rows on each read.  Equality, hashing,
-    repr and pickling go by (timestamp, instances), whatever the rows are.
+    stands for its PlainItemset (instance_of) and is checked as one here.
+    variant is the rows' instance type (None when empty).  A batch is weighed
+    and drawn from its rows; instances builds them on each read.  Equality,
+    hashing, repr and pickling go by (timestamp, rows): sets do not hash.
     """
 
-    __slots__ = ("timestamp", "variant", "rows")
+    timestamp: float
+    rows: tuple[set[int] | Instance, ...]
+    variant: type | None = field(init=False, compare=False, repr=False)
 
-    def __init__(self, timestamp: float, rows: tuple[set[int] | Instance, ...]):
-        kinds = set(map(type, rows))
+    def __post_init__(self):
+        kinds = set(map(type, self.rows))
         if len(kinds) > 1:
             names = sorted(k.__name__ for k in kinds)
             raise ValueError(f"batch mixes rows of kinds {names}")
+        if set in kinds:  # refused as its PlainItemset would be, at less cost
+            try:
+                if not all(self.rows) or min(map(min, self.rows)) < 0:
+                    raise ValueError("a set row must be non-empty, of non-negative ids")
+            except TypeError:
+                raise ValueError("item ids must be integers that compare") from None
         kind = next(iter(kinds), None)
-        _set(self, "timestamp", timestamp)
         _set(self, "variant", PlainItemset if kind is set else kind)
-        _set(self, "rows", rows)
 
     @property
     def instances(self) -> tuple[Instance, ...]:
         return tuple(map(instance_of, self.rows))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}: a Batch is frozen")
-
-    def __eq__(self, other):
-        if other.__class__ is not Batch:
-            return NotImplemented
-        return (self.timestamp, self.instances) == (other.timestamp, other.instances)
-
-    def __hash__(self):
-        return hash((self.timestamp, self.instances))
-
-    def __repr__(self):
-        return f"Batch(timestamp={self.timestamp!r}, instances={self.instances!r})"
-
-    def __reduce__(self):
-        return (Batch, (self.timestamp, self.instances))
-
-
-def plain_of_ids(ids: set[int]) -> PlainItemset:
-    """The plain itemset of a set of distinct non-negative item ids."""
-    return PlainItemset(tuple(sorted(ids)))
-
 
 def instance_of(row: set[int] | Instance) -> Instance:
     """The instance a batch row stands for: a set of item ids is its plain
     itemset, built and checked on each call; any other row is an instance."""
-    return plain_of_ids(row) if isinstance(row, set) else row
+    return PlainItemset(tuple(sorted(row))) if isinstance(row, set) else row
 
 
 def plain_itemset(items: Iterable[int]) -> PlainItemset:

@@ -1,30 +1,30 @@
 """Single-batch pattern draws.
 
 A pattern is drawn from a batch in three stages, each a discrete draw over
-precomputed mass: pick an instance proportionally to its mass, pick a norm
-by the prefix sums of its plan (weighting's norms, masses and sums; a plain
-itemset's is cached), then pick a pattern by measure mass among the
-instance's patterns of that norm.  The staged draw follows the exact
-batch law m(x, B) / w(B) without enumerating patterns.
-
-A sequence pattern is drawn by its own counts (SequenceCounts.draw), which
-read the first-occurrence counting rows backwards, block by block; a batch
-draw keeps a picked sequence's counts with its plan.
+precomputed mass: pick a row proportionally to its mass, pick a norm by the
+prefix sums of its plan (weighting's norms, masses and sums; a plain
+itemset's is cached by size), then the row's drawer picks a pattern of that
+norm by measure mass.  This follows the exact batch law m(x, B) / w(B)
+without enumerating patterns, and builds no instance: a tx row draws from
+its sorted ids, a sequence by its counts (SequenceCounts.draw), which read
+the first-occurrence counting rows backwards, block by block.
 
 All randomness comes from the caller's random.Random, consumed in the fixed
-order instance, norm, pattern; replaying a seed replays the draws.
+order row, norm, pattern; replaying a seed replays the draws.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate
 from random import Random
+from typing import Callable
 
 from .measures import MeasureSpec
-from .model import Batch, Instance, Pattern, PlainItemset, Sequence, WeightedItemset
-from .model import _unchecked, instance_of
-from .weighting import SequenceCounts, _plan_of, batch_weight, sequence_counts
+from .model import Batch, Instance, Items, Pattern, PlainItemset, Sequence, WeightedItemset
+from .model import _unchecked
+from .weighting import _plain_plan, _plan_of, batch_weight, sequence_counts
 
 
 def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
@@ -50,43 +50,51 @@ def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
     return out
 
 
-def draw_pattern_of_norm(
-    z: Instance, ell: int, spec: MeasureSpec, rng: Random, weight_sums: list | None = None
-) -> Pattern:
+def draw_pattern_of_norm(z: Instance, ell: int, spec: MeasureSpec, rng: Random) -> Pattern:
     """Pattern of norm ell from z, proportional to measure mass.
 
     Within a fixed norm the norm factor is a common constant, so plain
     itemsets and sequences draw uniformly over distinct patterns, and
-    weighted itemsets by summed item weights (weight_sums: their prefix sums).
+    weighted itemsets by summed item weights.
     """
-    if isinstance(z, Sequence):
-        return _unchecked(Pattern, sequence_counts(z, spec.norm_cap(z.norm)).draw(ell, rng))
-    if not isinstance(z, (PlainItemset, WeightedItemset)):
+    if not isinstance(z, (PlainItemset, WeightedItemset, Sequence)):
         raise TypeError(f"not an instance: {type(z).__name__}")
-    n, items = z.norm, z.items
-    if not 1 <= ell <= n:
-        raise ValueError(f"norm {ell} outside [1, {n}]")
-    if isinstance(z, PlainItemset):
-        chosen = [items[i] for i in sample_distinct_indices(rng, n, ell)]
+    if not isinstance(z, Sequence) and not 1 <= ell <= z.norm:
+        raise ValueError(f"norm {ell} outside [1, {z.norm}]")
+    return _unchecked(Pattern, _drawer(z, spec)(ell, rng))
+
+
+def _subset(items: Items, sums: list[float] | None, ell: int, rng: Random) -> tuple[Items]:
+    if sums is None:  # a uniform ell-subset
+        chosen = [items[i] for i in sample_distinct_indices(rng, len(items), ell)]
     else:
-        # pivot item i with probability w_i / W, then a uniform (ell-1)-subset
-        # of the rest: P(x) = sum_{i in x} w_i / (W * C(n-1, ell-1)), the
-        # measure mass of x over the table entry at ell
-        sums = weight_sums or list(accumulate(z.weights))
+        # pivot item i with probability w_i / W (sums: the prefix sums of the
+        # item weights), then a uniform (ell-1)-subset of the rest: P(x) =
+        # sum_{i in x} w_i / (W * C(n-1, ell-1)), x's mass over the table's
         pivot = bisect_right(sums, rng.random() * sums[-1])
-        rest = sample_distinct_indices(rng, n - 1, ell - 1)
+        rest = sample_distinct_indices(rng, len(items) - 1, ell - 1)
         chosen = [items[pivot], *(items[i if i < pivot else i + 1] for i in rest)]
     chosen.sort()
-    return _unchecked(Pattern, (tuple(chosen),))
+    return (tuple(chosen),)
 
 
-def _draw_plan(z: Instance, spec: MeasureSpec) -> tuple:
-    # z's norms of positive mass, their prefix sums, and what its pattern
-    # draw reads: a weighted itemset's weight_sums, a sequence's counts
-    norms, _, sums = _plan_of(z, spec)
-    if isinstance(z, Sequence):
-        return norms, sums, sequence_counts(z, spec.norm_cap(z.norm))
-    return norms, sums, list(accumulate(z.weights)) if isinstance(z, WeightedItemset) else None
+def _drawer(row: set[int] | Instance, spec: MeasureSpec) -> Callable:
+    """draw(ell, rng): the elements of a pattern of norm ell in the row, by
+    measure mass; a tx row draws from its sorted ids, no PlainItemset."""
+    if isinstance(row, set):
+        return partial(_subset, tuple(sorted(row)), None)
+    if isinstance(row, PlainItemset):
+        return partial(_subset, row.items, None)
+    if isinstance(row, WeightedItemset):
+        return partial(_subset, row.items, list(accumulate(row.weights)))
+    return sequence_counts(row, spec.norm_cap(row.norm)).draw
+
+
+def _row_plan(row: set[int] | Instance, spec: MeasureSpec) -> tuple:
+    """(norms, sums, draw): the row's norms of positive mass, their prefix
+    sums and its drawer; a tx row's plan is the cached one of its size."""
+    norms, _, sums = _plain_plan(len(row), spec) if isinstance(row, set) else _plan_of(row, spec)
+    return norms, sums, _drawer(row, spec)
 
 
 def sample_from_batch(
@@ -99,8 +107,8 @@ def sample_from_batch(
     """count independent pattern draws from the batch law m(x, B) / w(B).
 
     masses are the per-row masses batch_weight gave for this batch and
-    spec; they are weighed again when not given.  A row's instance is built
-    when a draw first picks it, so tx rows that no draw picks are not built.
+    spec; they are weighed again when not given.  A row's plan is made when
+    a draw first picks it, from the row itself: no draw builds an instance.
     """
     if count < 0:
         raise ValueError(f"draw count must be >= 0, got {count}")
@@ -115,7 +123,7 @@ def sample_from_batch(
     if total <= 0:
         raise ValueError("batch has no pattern mass under this measure")
     rows = batch.rows
-    plans: dict[int, tuple] = {}  # instance and draw plan of each row picked
+    plans: dict[int, tuple] = {}  # the plan of each row picked
     out: list[Pattern] = []
     for _ in range(count):
         # bisect_right skips zero-weight instances even when the point lands
@@ -123,12 +131,8 @@ def sample_from_batch(
         zi = bisect_right(cum, rng.random() * total)
         plan = plans.get(zi)
         if plan is None:
-            z = instance_of(rows[zi])
-            plan = plans[zi] = (z, *_draw_plan(z, spec))
-        z, norms, norm_sums, extra = plan
+            plan = plans[zi] = _row_plan(rows[zi], spec)
+        norms, norm_sums, draw = plan
         ell = norms[bisect_right(norm_sums, rng.random() * norm_sums[-1])]
-        if isinstance(extra, SequenceCounts):
-            out.append(_unchecked(Pattern, extra.draw(ell, rng)))
-        else:
-            out.append(draw_pattern_of_norm(z, ell, spec, rng, extra))
+        out.append(_unchecked(Pattern, draw(ell, rng)))
     return out

@@ -396,7 +396,7 @@ class SequenceCounts:
 
     def draw(self, ell: int, rng: Random) -> tuple[Items, ...]:
         """The blocks of a uniform pattern of norm ell.  Per block, one
-        randrange over continuation(i, remaining) picks its position j and
+        _below over continuation(i, remaining) picks its position j and
         size q (j, then q, ascending) and one over ways(i, j)[q] its rank.
         The mass at j is digit top of one product, ways(i, j) * window, the
         window holding the top = min(remaining, widest itemset) digits of
@@ -411,7 +411,7 @@ class SequenceCounts:
         i = -1
         remaining = ell
         while remaining:
-            r = rng.randrange(rows[i + 1] >> b * remaining & digit)
+            r = _below(rng, rows[i + 1] >> b * remaining & digit)
             top = min(remaining, widest)
             below, low, shift = (1 << b * remaining) - 1, b * (remaining - top), b * top
             for j in range(i + 1, self._n):
@@ -427,7 +427,7 @@ class SequenceCounts:
                 if r < mass:
                     break
                 r -= mass
-            parts.append(self._unrank(i, j, q, rng.randrange(count)))
+            parts.append(self._unrank(i, j, q, _below(rng, count)))
             i = j
             remaining -= q
         return tuple(parts)
@@ -435,6 +435,17 @@ class SequenceCounts:
     def _check(self, ell: int) -> None:
         if not 1 <= ell <= self.cap:
             raise ValueError(f"norm {ell} outside [1, {self.cap}]")
+
+
+def _below(rng: Random, n: int) -> int:
+    # rng.randrange(n) as CPython 3.10-3.13 draws it, without depending on it;
+    # getrandbits(0) is 0, so an empty range would retry forever
+    if n < 1:
+        raise ValueError(f"empty range below {n}")
+    r = rng.getrandbits(bits := n.bit_length())
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
 
 
 _counts_lookups = {"hits": 0, "misses": 0}

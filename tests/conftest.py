@@ -47,6 +47,7 @@ _CRITERIA = {
     5: "incomplete beta agrees with direct binomial sums",
     6: "streaming behavior: determinism, ordering, skips, growth",
     7: "CLI sample/featurize round trip",
+    8: "reservoir slots are independent draws",
 }
 
 _NODE_RE = re.compile(r"test_criterion_(\d+)")

@@ -16,6 +16,11 @@ Criteria and tolerances:
      skips, insertion growth (logged, soft)
   7. CLI round trip: sample -> snapshot -> featurize, deterministic output,
      exit codes
+  8. slot independence: capacity 4 over 10k runs of a four-batch damped
+     stream per variant; after every prefix, each slot holds a pattern of
+     the last batch at rate p, each pair of slots both do at rate p^2, and
+     each pair holds one pattern at rate sum(law^2) of the exact stream law,
+     each within 5 standard errors
 """
 
 import csv
@@ -47,7 +52,7 @@ from rps.weighting import batch_weight, instance_weight, weight_table
 
 import conftest
 import streamgen
-from conftest import A, B, C
+from conftest import A, B, C, D, E
 
 FREQ = MeasureSpec(BaseMeasure.FREQ)
 AREA = MeasureSpec(BaseMeasure.AREA)
@@ -59,6 +64,9 @@ BATCH_DRAWS = 200_000
 STREAM_RUNS = 300_000
 POOLED_RUNS = 30_000
 TV_BOUND = 0.01
+SLOT_RUNS = 10_000
+SLOT_CAPACITY = 4
+SLOT_Z_BOUND = 5.0
 
 
 def test_criterion_1_fixture_values(seq_stream, weighted_stream):
@@ -353,3 +361,83 @@ def test_criterion_7_cli_round_trip(tmp_path):
     assert main([
         "sample", "--input", str(tmp_path / "absent.tx"), "--format", "tx",
     ]) == 1
+
+
+def _slot_streams():
+    # per variant: (spec, four batches), each batch changing the law
+    plain, weighted = plain_itemset, weighted_itemset
+    return {
+        "plain": (FREQ, [
+            (plain([A, B]), plain([C])),
+            (plain([A, C, D]),),
+            (plain([B]), plain([D, E])),
+            (plain([A, B, C]),),
+        ]),
+        "weighted": (UTIL, [
+            (weighted({A: 2.0, B: 1.0}),),
+            (weighted({B: 1.5, C: 1.0}), weighted({D: 2.0})),
+            (weighted({A: 1.0, C: 2.0, E: 1.0}),),
+            (weighted({B: 2.0, D: 1.0}),),
+        ]),
+        "sequence": (FREQ, [
+            (sequence([[A], [B]]), sequence([[C]])),
+            (sequence([[A, B], [A]]),),
+            (sequence([[B], [C], [B]]),),
+            (sequence([[A], [C]]), sequence([[D]])),
+        ]),
+    }
+
+
+def _slot_z_scores(stream, spec, gamma, runs, seed):
+    """The z-scores of every slot-independence check after each prefix:
+    per slot, holding a pattern of the last batch (rate p); per pair of
+    slots, both doing so (rate p^2) and holding the same pattern (rate
+    sum(law^2) of the exact stream law)."""
+    k = SLOT_CAPACITY
+    pairs = [(a, b) for a in range(k) for b in range(a + 1, k)]
+    fresh = [Counter() for _ in stream]
+    both = [Counter() for _ in stream]
+    same = [Counter() for _ in stream]
+    probabilities = [set() for _ in stream]
+    for i in range(runs):
+        s = ReservoirSampler(spec, capacity=k, damping=gamma, seed=seed + i)
+        for m, batch in enumerate(stream):
+            probabilities[m].add(s.process_batch(batch).probability)
+            slots = s.snapshot()
+            last = [t == batch.timestamp for t, _ in slots]
+            fresh[m].update(a for a in range(k) if last[a])
+            both[m].update(ab for ab in pairs if last[ab[0]] and last[ab[1]])
+            same[m].update(ab for ab in pairs if slots[ab[0]][1] == slots[ab[1]][1])
+
+    def z(count, rate):
+        err = math.sqrt(rate * (1 - rate) / runs)
+        gap = abs(count / runs - rate)
+        return gap / err if err else (math.inf if gap else 0.0)
+
+    scores = []
+    for m in range(len(stream)):
+        # p depends on the stream alone, not on the run
+        (p,) = probabilities[m]
+        law = oracle.stream_law(stream[: m + 1], spec, gamma=gamma)
+        collide = math.fsum(q * q for q in law.values())
+        scores += [("slot", m, a, z(fresh[m][a], p)) for a in range(k)]
+        scores += [("pair", m, ab, z(both[m][ab], p * p)) for ab in pairs]
+        scores += [("same", m, ab, z(same[m][ab], collide)) for ab in pairs]
+    return scores
+
+
+def test_criterion_8_slot_independence():
+    # n_r ~ Bin(k, p) slots chosen uniformly is each slot replaced
+    # independently with probability p, so the slots are independent draws
+    # from the stream law; a pooled marginal (criterion 4) cannot see which
+    # slots a batch refills, nor whether the refilled slots share a draw
+    gamma = 0.2
+    for idx, (kind, (spec, groups)) in enumerate(_slot_streams().items()):
+        stream = [Batch(float(t), rows) for t, rows in enumerate(groups, start=1)]
+        scores = _slot_z_scores(stream, spec, gamma, SLOT_RUNS, seed=8000 + 100_000 * idx)
+        worst = max(scores, key=lambda score: score[-1])
+        conftest.SOFT_LOGS.append(
+            f"criterion 8 {kind}: worst z={worst[-1]:.2f} ({worst[0]} check "
+            f"after batch {worst[1] + 1}) over {SLOT_RUNS} runs at k={SLOT_CAPACITY}"
+        )
+        assert worst[-1] <= SLOT_Z_BOUND, (kind, worst)

@@ -1,6 +1,11 @@
-"""The package's public names."""
+"""The package's public names and the parameters of its main calls."""
+
+import inspect
+
+import pytest
 
 import rps
+from rps.formats import iter_batches
 
 
 def test_public_names_are_pinned():
@@ -38,3 +43,20 @@ def test_public_names_are_pinned():
         "__version__",
     }
     assert all(hasattr(rps, name) for name in rps.__all__)
+
+
+# a parameter added to, dropped from or renamed in one of these calls is an
+# API change
+PARAMETERS = {
+    rps.Batch: ["timestamp", "rows"],
+    rps.ReservoirSampler: ["spec", "capacity", "damping", "seed"],
+    rps.batch_weight: ["batch", "spec"],
+    rps.sample_from_batch: ["batch", "spec", "count", "rng", "masses"],
+    rps.draw_pattern_of_norm: ["z", "ell", "spec", "rng"],
+    iter_batches: ["lines", "fmt", "catalog", "batch_size", "timestamps"],
+}
+
+
+@pytest.mark.parametrize("call", list(PARAMETERS), ids=lambda call: call.__name__)
+def test_parameters_are_pinned(call):
+    assert list(inspect.signature(call).parameters) == PARAMETERS[call]

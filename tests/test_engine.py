@@ -85,27 +85,35 @@ def test_acceptance_probability_fixture():
 def test_a_rejected_batch_of_rows_builds_no_instance(monkeypatch):
     built = []
 
-    def counting(ids):
-        built.append(ids)
-        return model.PlainItemset(tuple(sorted(ids)))
+    def counting(row):
+        built.append(row)
+        return model.PlainItemset(tuple(sorted(row)))
 
-    monkeypatch.setattr(model, "plain_of_ids", counting)
+    monkeypatch.setattr(model, "instance_of", counting)
     s = ReservoirSampler(FREQ, capacity=2, seed=4)
     twin = ReservoirSampler(FREQ, capacity=2, seed=4)
     accepted = []
     rows = ({B, A}, {C})
     for t in range(1, 30):
-        before = len(built)
         report = s.process_batch(Batch(float(t), rows))
         twin_batch = Batch(float(t), (plain_itemset([A, B]), plain_itemset([C])))
         assert report == twin.process_batch(twin_batch)
-        # an accepted batch builds each row its draws picked, once
-        drawn = [s.snapshot()[slot][1].elements[0] for slot in report.evicted]
-        picked = [row for row in rows if any(row.issuperset(x) for x in drawn)]
-        assert sorted(map(sorted, built[before:])) == sorted(map(sorted, picked))
+        assert s.rng.getstate() == twin.rng.getstate()
         accepted.append(report.accepted)
+    # neither a rejected batch nor an accepted one's draws build a row
+    assert built == []
     assert s.snapshot() == twin.snapshot()
     assert True in accepted[1:] and False in accepted
+
+
+def test_a_bad_set_row_is_refused_before_any_state_moves():
+    s = ReservoirSampler(FREQ, capacity=3, seed=5)
+    s.process_batch(Batch(1.0, ({A, B}, {C})))
+    before = (s.batches_seen, s.batches_accepted, s.rng.getstate(), s.snapshot())
+    for rows in (({-1, 2},) * 50, ({A}, set()), ({A}, {B, "c"})):
+        with pytest.raises(ValueError):
+            s.process_batch(Batch(2.0, rows))
+    assert (s.batches_seen, s.batches_accepted, s.rng.getstate(), s.snapshot()) == before
 
 
 def test_damped_acceptance_probability():

@@ -114,7 +114,6 @@ def test_unknown_format():
     with pytest.raises(ParseError, match="unknown format 'csv'"):
         read_instances([], "csv", Catalog())
 
-
 def _reference_parse(line, fmt, cat):
     """(instance, label) from one intern call per token, in token order."""
     if fmt == "seq-spmf":
@@ -354,17 +353,23 @@ def test_iter_batches_fixed_size():
 
 
 @pytest.mark.parametrize(
-    "options",
-    [{"batch_size": 0}, {"batch_size": "few"}, {"timestamps": "wall"}],
-    ids=["zero", "word", "timestamp-mode"],
+    "fmt, options, error",
+    [
+        ("tx", {"batch_size": 0}, ConfigurationError),
+        ("tx", {"batch_size": "few"}, ConfigurationError),
+        ("tx", {"timestamps": "wall"}, ConfigurationError),
+        ("csv", {}, ParseError),
+        ("csv", {"timestamps": "explicit"}, ParseError),
+    ],
+    ids=["zero", "word", "timestamp-mode", "format", "format-explicit"],
 )
-def test_bad_batch_arguments_are_refused_before_reading(options):
+def test_bad_batch_arguments_are_refused_before_reading(fmt, options, error):
     def lines():
         raise AssertionError("a line was read")
         yield "a"
 
-    with pytest.raises(ConfigurationError):
-        iter_batches(lines(), "tx", Catalog(), **options)
+    with pytest.raises(error):
+        iter_batches(lines(), fmt, Catalog(), **options)
 
 
 def test_iter_batches_explicit_timestamps():

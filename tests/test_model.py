@@ -108,6 +108,15 @@ def test_sequence_memo_stays_out_of_equality_pickles_and_copies():
 def test_batch_invariants():
     with pytest.raises(ValueError):
         Batch(1.0, (plain_itemset([A]), sequence([[A]])))
+    # a set row is checked as its PlainItemset, with a ValueError throughout
+    for rows, message in (
+        (({A}, set()), "non-empty"),
+        (({A, B}, {-1, 2}), "non-negative"),
+        (({A}, {B, "c"}), "compare"),
+        (({"c"},), "compare"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Batch(1.0, rows)
     empty = Batch(1.0, ())
     assert empty.instances == ()
     assert empty.variant is None and Batch(1.0, ()).variant is None
@@ -137,26 +146,33 @@ def test_catalog_refuses_a_new_token_with_a_pattern_delimiter():
     assert cat.itemsets([["b", "c"], ["a"]]) == ((1, 2), (0,))
 
 
-def test_batch_of_plain_rows_builds_once_on_first_read(monkeypatch):
+def test_a_batch_of_rows_is_its_rows(monkeypatch):
     built = []
 
-    def counting(ids):
-        built.append(ids)
-        return PlainItemset(tuple(sorted(ids)))
+    def counting(row):
+        built.append(row)
+        return PlainItemset(tuple(sorted(row)))
 
-    monkeypatch.setattr(model, "plain_of_ids", counting)
+    monkeypatch.setattr(model, "instance_of", counting)
     rows = ({C, A}, {B})
     lazy = Batch(2.0, rows)
-    eager = Batch(2.0, (plain_itemset([A, C]), plain_itemset([B])))
+    instances = (plain_itemset([A, C]), plain_itemset([B]))
+    eager = Batch(2.0, instances)
     assert lazy.variant is PlainItemset and lazy.rows is rows
-    assert built == []
-    assert lazy.instances == eager.instances
-    assert lazy == eager and hash(lazy) == hash(eager) and repr(lazy) == repr(eager)
-    assert lazy != Batch(3.0, eager.instances)
-    with pytest.raises(AttributeError, match="frozen"):
+    # identity goes by (timestamp, rows): nothing is built to compare
+    assert lazy == Batch(2.0, ({A, C}, {B})) and lazy != eager
+    assert lazy != Batch(3.0, rows)
+    assert repr(lazy) == "Batch(timestamp=2.0, rows=({0, 2}, {1}))"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(lazy)
+    assert hash(eager) == hash(Batch(2.0, instances))
+    with pytest.raises(AttributeError):
         lazy.timestamp = 3.0
     for clone in (pickle.loads(pickle.dumps(lazy)), copy.copy(lazy), copy.deepcopy(lazy)):
-        assert clone == eager and clone.rows == eager.instances
+        assert clone == lazy and clone.variant is PlainItemset
+    assert built == []
+    # instances builds every row on each read
+    assert lazy.instances == instances and built == list(rows)
 
 
 def test_is_subset():

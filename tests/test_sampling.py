@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from rps import model, oracle
+from rps import model, oracle, weighting
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import Batch, Pattern, PlainItemset, matches, plain_itemset, sequence
 from rps.model import weighted_itemset
@@ -62,6 +62,22 @@ def test_sample_distinct_indices_consume_as_randrange(n):
         for k in range(min(n, 40) + 1):
             assert sample_distinct_indices(ours, n, k) == _randrange_indices(ref, n, k)
             assert ours.getstate() == ref.getstate(), (seed, k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 1000, 2**31 + 1, 2**200 + 3])
+def test_below_consumes_as_randrange(n):
+    # the same value and generator state after, several calls in a row
+    ours, ref = random.Random(n), random.Random(n)
+    for _ in range(20):
+        assert weighting._below(ours, n) == ref.randrange(n)
+        assert ours.getstate() == ref.getstate()
+
+
+def test_below_refuses_an_empty_range():
+    # getrandbits(0) is 0, so a bare retry loop below 0 would never end
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="empty range"):
+            weighting._below(random.Random(1), n)
 
 
 def test_sample_distinct_indices_uniform():
@@ -162,8 +178,11 @@ def _exact_law(draw) -> Counter:
         script[-1] += 1
 
 
-def test_sequence_pattern_draw_law_is_exact():
-    # repeated, nested and overlapping itemsets, then seeded random ones
+def test_sequence_pattern_draw_law_is_exact(monkeypatch):
+    # repeated, nested and overlapping itemsets, then seeded random ones;
+    # each index the draw takes is replayed as the randrange call whose bits
+    # weighting._below takes (test_below_consumes_as_randrange)
+    monkeypatch.setattr(weighting, "_below", lambda rng, n: rng.randrange(n))
     rng = random.Random(12)
     cases = [
         sequence([[A], [A], [A]]),
@@ -251,29 +270,26 @@ def test_weighted_batch_draw_builds_no_table():
         assert got == want
 
 
-def test_a_draw_builds_only_the_rows_it_picks(monkeypatch):
+def test_a_draw_builds_no_row(monkeypatch):
     # 100 tx rows of two items each, no item shared, so each drawn pattern
     # names the row it came from
     built = []
 
-    def counting(ids):
-        built.append(min(ids) // 2)
-        return PlainItemset(tuple(sorted(ids)))
+    def counting(row):
+        built.append(row)
+        return PlainItemset(tuple(sorted(row)))
 
-    monkeypatch.setattr(model, "plain_of_ids", counting)
+    monkeypatch.setattr(model, "instance_of", counting)
     rows = tuple({2 * i, 2 * i + 1} for i in range(100))
     eager = Batch(1.0, tuple(plain_itemset(row) for row in rows))
     lazy = Batch(1.0, rows)
-    assert sample_from_batch(lazy, FREQ, 1, random.Random(3)) == sample_from_batch(
-        eager, FREQ, 1, random.Random(3)
-    )
-    assert len(built) == 1
     for seed in range(5):
-        built.clear()
-        got = sample_from_batch(lazy, FREQ, 30, random.Random(seed))
-        assert got == sample_from_batch(eager, FREQ, 30, random.Random(seed))
-        picked = {x.elements[0][0] // 2 for x in got}
-        assert sorted(built) == sorted(picked) and 1 < len(picked) < 30
+        ours, ref = random.Random(seed), random.Random(seed)
+        got = sample_from_batch(lazy, FREQ, 30, ours)
+        assert got == sample_from_batch(eager, FREQ, 30, ref)
+        assert ours.getstate() == ref.getstate()
+        assert 1 < len({x.elements[0][0] // 2 for x in got}) < 30
+    assert built == []
 
 
 def test_drawn_patterns_pass_the_checked_constructor():

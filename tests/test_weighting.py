@@ -31,7 +31,7 @@ from rps.weighting import (
     weight_table,
 )
 
-from rps.sampling import _draw_plan, sample_from_batch
+from rps.sampling import _row_plan as _draw_plan, sample_from_batch
 
 import streamgen
 from conftest import A, B, C
