@@ -59,38 +59,78 @@ class BatchReport:
 class Featurizer:
     """Containment bits of probes against a fixed list of patterns.
 
-    Each pattern is filed, by slot, under the smallest item of its first
-    element, with a screen: its items.  A pattern contained in a probe has
-    all its items among the probe's distinct items, so a probe visits only
-    the buckets of those items, and matches runs only for the slots whose
-    screen they cover; matches still decides order and placement.  A
-    pattern of one element is screened by that element, a sorted tuple, so
-    itemset reservoirs build nothing for the screen; a pattern of several
-    elements by the frozenset of its items.  The bits equal
-    [1 if matches(x, z) else 0 for x in patterns].
+    A pattern contained in a probe has all its items among the probe's
+    distinct items.  Two screens pick a probe's candidate slots by this, and
+    matches decides each candidate's bit, order and placement included, so
+    the bits equal [1 if matches(x, z) else 0 for x in patterns].  By
+    buckets: each slot is filed under the smallest item of its pattern's
+    first element, with its items (that element, a sorted tuple, when it is
+    the only one, so itemset reservoirs build nothing more; else a
+    frozenset), and a probe tests the slots of the buckets it hits.  By
+    masks: each item has a bitmask of the slots that hold it, and a probe's
+    candidates are the slots in no mask of an item it lacks.  A probe goes
+    by masks when its hit buckets are expected to hold more slots,
+    len(hit) * k / len(buckets), than the slots hold distinct items, as in
+    a sequence reservoir over a small alphabet.  The masks, one per item,
+    are built, and count the items, on the first probe that could go by
+    them; until then the count is taken as len(buckets), its least value,
+    so a wide reservoir never builds them.
     """
 
-    __slots__ = ("_patterns", "_buckets")
+    __slots__ = ("_patterns", "_buckets", "_masks", "_least")
 
     def __init__(self, patterns: list[Pattern]):
         self._patterns = patterns
         self._buckets: dict[int, list[tuple[int, Pattern, Items | frozenset[int]]]] = {}
+        self._masks: dict[int, int] | None = None  # item -> its slots, once built
         for slot, pat in enumerate(patterns):
             e = pat.elements
             screen = e[0] if len(e) == 1 else frozenset().union(*e)
             self._buckets.setdefault(e[0][0], []).append((slot, pat, screen))
+        # a probe that hits more than len(buckets) * items // k buckets goes
+        # by masks; _slot_masks puts the items' count in
+        self._least = len(self._buckets) ** 2 // max(len(patterns), 1)
 
     def __call__(self, z: Instance) -> list[int]:
-        bits = [0] * len(self._patterns)
-        buckets = self._buckets
         items = set().union(*z.elements)
+        buckets = self._buckets
+        hit = buckets.keys() & items
+        if len(hit) > self._least:
+            if self._masks is None:
+                self._slot_masks()
+            if len(hit) > self._least:
+                return self._by_masks(z, items)
+        bits = [0] * len(self._patterns)
         # matches is read from this module on each call, where
         # perfbench/tracer.py counts it
-        for item in buckets.keys() & items:
+        for item in hit:
             for slot, pat, screen in buckets[item]:
                 if items.issuperset(screen) and matches(pat, z):
                     bits[slot] = 1
         return bits
+
+    def _by_masks(self, z: Instance, items: set[int]) -> list[int]:
+        patterns, masks = self._patterns, self._masks
+        bits = [0] * len(patterns)
+        lacked = 0
+        for item in masks.keys() - items:
+            lacked |= masks[item]
+        slots = (1 << len(bits)) - 1 & ~lacked
+        while slots:
+            slot = (slots & -slots).bit_length() - 1
+            slots &= slots - 1
+            if matches(patterns[slot], z):
+                bits[slot] = 1
+        return bits
+
+    def _slot_masks(self) -> None:
+        masks = self._masks = {}
+        for bucket in self._buckets.values():
+            for slot, _, screen in bucket:
+                bit = 1 << slot
+                for item in screen:
+                    masks[item] = masks.get(item, 0) | bit
+        self._least = len(self._buckets) * len(masks) // len(self._patterns)
 
 
 # the first accepted batch draws every slot at once, so a capacity past what

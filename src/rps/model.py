@@ -259,13 +259,15 @@ class Batch:
         if len(kinds) > 1:
             names = sorted(k.__name__ for k in kinds)
             raise ValueError(f"batch mixes rows of kinds {names}")
-        if set in kinds:  # refused as its PlainItemset would be, at less cost
+        kind = next(iter(kinds), None)
+        if kind is set:  # refused as its PlainItemset would be, at less cost
             try:
                 if not all(self.rows) or min(map(min, self.rows)) < 0:
                     raise ValueError("a set row must be non-empty, of non-negative ids")
             except TypeError:
                 raise ValueError("item ids must be integers that compare") from None
-        kind = next(iter(kinds), None)
+        elif kind and not issubclass(kind, (set, PlainItemset, WeightedItemset, Sequence)):
+            raise ValueError(f"a row is an instance or a set of item ids, not {kind.__name__}")
         _set(self, "variant", PlainItemset if kind is set else kind)
 
     @property
@@ -326,13 +328,16 @@ def matches(pat: Pattern, z: Instance) -> bool:
 
     Itemset instances contain exactly the subsets of their items; a sequence
     contains a pattern iff the pattern elements embed into distinct itemsets
-    in order.  The greedy leftmost embedding decides this exactly.
+    in order.  The greedy leftmost embedding decides this exactly.  An
+    itemset that lacks an element's first item is passed over without a
+    merge walk.
     """
     targets = z.elements
     i = 0
     n = len(targets)
     for e in pat.elements:
-        while i < n and not is_subset(e, targets[i]):
+        first = e[0]
+        while i < n and not (first in targets[i] and is_subset(e, targets[i])):
             i += 1
         if i == n:
             return False

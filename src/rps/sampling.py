@@ -24,7 +24,7 @@ from typing import Callable
 from .measures import MeasureSpec
 from .model import Batch, Instance, Items, Pattern, PlainItemset, Sequence, WeightedItemset
 from .model import _unchecked
-from .weighting import _plain_plan, _plan_of, batch_weight, sequence_counts
+from .weighting import _norm_factors, _plain_plan, _plan_of, batch_weight, sequence_counts
 
 
 def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
@@ -55,12 +55,16 @@ def draw_pattern_of_norm(z: Instance, ell: int, spec: MeasureSpec, rng: Random) 
 
     Within a fixed norm the norm factor is a common constant, so plain
     itemsets and sequences draw uniformly over distinct patterns, and
-    weighted itemsets by summed item weights.
+    weighted itemsets by summed item weights.  A measure not defined for z
+    is a ConfigurationError, and a norm outside [min_norm, cap] a
+    ValueError: the spec gives it no mass.
     """
     if not isinstance(z, (PlainItemset, WeightedItemset, Sequence)):
         raise TypeError(f"not an instance: {type(z).__name__}")
-    if not isinstance(z, Sequence) and not 1 <= ell <= z.norm:
-        raise ValueError(f"norm {ell} outside [1, {z.norm}]")
+    cap = spec.norm_cap(z.norm)
+    _norm_factors(type(z), spec, cap)  # refuses a measure z does not support
+    if not spec.min_norm <= ell <= cap:
+        raise ValueError(f"norm {ell} outside [{spec.min_norm}, {cap}]")
     return _unchecked(Pattern, _drawer(z, spec)(ell, rng))
 
 

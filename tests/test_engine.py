@@ -404,6 +404,114 @@ def test_matches_runs_only_for_slots_that_pass_the_screen(monkeypatch, variant):
                 assert len(calls) == sum(bits)
 
 
+def _forced(patterns, by_masks):
+    # a featurizer whose switch sends every probe one way: no probe hits
+    # more buckets than there are slots, and every probe hits more than -1
+    featurize = Featurizer(patterns)
+    if by_masks:
+        featurize._slot_masks()
+    featurize._least = -1 if by_masks else len(patterns)
+    return featurize
+
+
+def _probe_of(variant, items):
+    items = sorted(items)
+    if variant == "plain":
+        return plain_itemset(items)
+    if variant == "weighted":
+        return weighted_itemset({i: 1.0 + i for i in items})
+    # the items in one itemset, then again one by one
+    return sequence([items] + [[i] for i in items])
+
+
+@pytest.mark.parametrize("variant", streamgen.VARIANTS)
+def test_each_screen_gives_containment_on_the_same_reservoirs(variant):
+    rng = random.Random(f"featurize/screens/{variant}")
+    spec = streamgen.base_measures(variant)[0]
+    alphabet = 7 if variant == "sequence" else 10
+    probe = {
+        "plain": lambda: streamgen.random_plain(rng, alphabet=14),
+        "weighted": lambda: streamgen.random_weighted(rng, alphabet=14),
+        "sequence": lambda: streamgen.random_sequence(rng, alphabet=10),
+    }[variant]
+    went = set()
+    for trial in range(15):
+        s = ReservoirSampler(spec, capacity=rng.choice((1, 5, 30)), damping=0.1, seed=trial)
+        for t in range(1, 6):
+            s.process_batch(Batch(float(t), streamgen.random_batch(rng, variant).instances))
+        patterns = [x for _, x in s.snapshot()]
+        featurize = Featurizer(patterns)
+        by_buckets, by_masks = _forced(patterns, False), _forced(patterns, True)
+        held = set().union(*(e for x in patterns for e in x.elements))
+        starts = featurize._buckets.keys()
+        # random probes, some with items no slot holds (alphabet or more);
+        # probes of items that start no pattern, which hit no bucket; and
+        # the reservoir's whole alphabet
+        probes = [probe() for _ in range(20)] + [
+            _probe_of(variant, (held - starts) | {alphabet + 1}),
+            _probe_of(variant, {alphabet, alphabet + 3}),
+            _probe_of(variant, held),
+        ]
+        for z in probes:
+            want = _containment(patterns, z)
+            assert by_buckets(z) == by_masks(z) == featurize(z) == want, z
+            items = set().union(*z.elements)
+            went.add(not items & starts)
+    assert went == {True, False}  # some probes hit no bucket
+
+
+def test_the_switch_goes_by_masks_only_for_a_small_alphabet(monkeypatch):
+    went = []
+    screen = Featurizer._by_masks
+
+    def counted(self, *args):
+        went.append(self)
+        return screen(self, *args)
+
+    monkeypatch.setattr(Featurizer, "_by_masks", counted)
+    # 30 slots over 3 items: a probe of all of them expects 30 candidates
+    narrow = [pattern([[a], [b]]) for a in (A, B, C) for b in (A, B, C)] * 3
+    narrow += [pattern([[A, B, C]])] * 3
+    # 30 slots over 60 items, each the first item of its own bucket
+    wide = [pattern([[i, 30 + i]]) for i in range(30)]
+    for patterns, masks in ((narrow, True), (wide, False)):
+        featurize = Featurizer(patterns)
+        z = sequence([[i] for i in sorted(set().union(*(x.elements[0] for x in patterns)))])
+        went.clear()
+        assert featurize(z) == _containment(patterns, z)
+        assert went == ([featurize] if masks else [])
+
+
+def test_the_masks_are_built_on_the_first_probe_that_could_go_by_them(monkeypatch):
+    # 27 slots over 3 items, so every probe that hits a bucket goes by masks
+    patterns = [pattern([[a], [b]]) for a in (A, B, C) for b in (A, B, C)] * 3
+    featurize = Featurizer(patterns)
+    assert featurize._masks is None
+    z = sequence([[D], [E]])
+    assert featurize(z) == _containment(patterns, z)
+    assert featurize._masks is None
+    z = sequence([[A], [B, C], [A, C]])
+    assert featurize(z) == _containment(patterns, z)
+    holds = [set().union(*x.elements) for x in patterns]
+    assert featurize._masks == {
+        item: sum(1 << slot for slot, got in enumerate(holds) if item in got) for item in (A, B, C)
+    }
+    # 6 slots over 2 buckets: a probe that hits one could go by masks
+    # until they count 7 items, 2 * 7 // 6 = 2, so it goes by buckets
+    patterns = [pattern([[a], [b]]) for a, b in ((A, C), (A, D), (A, E), (B, 5), (B, 6), (B, C))]
+    featurize = Featurizer(patterns)
+    assert featurize._least == 0 and featurize._masks is None
+    monkeypatch.setattr(Featurizer, "_by_masks", None)  # not called
+    z = sequence([[A], [C]])
+    assert featurize(z) == _containment(patterns, z) == [1, 0, 0, 0, 0, 0]
+    assert len(featurize._masks) == 7 and featurize._least == 2
+    # a wide reservoir never builds them
+    wide = Featurizer([pattern([[i, 30 + i]]) for i in range(30)])
+    for z in (sequence([[i] for i in range(60)]), plain_itemset(range(60)), sequence([[99]])):
+        wide(z)
+    assert wide._masks is None
+
+
 def test_feature_vector_follows_accepted_batches():
     s = ReservoirSampler(FREQ, capacity=3, seed=0)
     s.process_batch(Batch(1.0, (plain_itemset([A]),)))

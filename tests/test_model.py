@@ -1,6 +1,7 @@
 """Model invariants: canonical forms, validation, containment."""
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -123,6 +124,14 @@ def test_batch_invariants():
     assert Batch(1.0, (sequence([[A]]),)).variant is Sequence
 
 
+def test_batch_refuses_a_row_that_is_neither_an_instance_nor_a_set():
+    for row in (frozenset({A, B}), (A, B), pattern([[A]])):
+        with pytest.raises(ValueError, match=f"not {type(row).__name__}"):
+            Batch(1.0, (row,))
+        with pytest.raises(ValueError, match=f"not {type(row).__name__}"):
+            Batch(1.0, (row, row))
+
+
 def test_batch_refuses_rows_that_mix_sets_with_instances():
     with pytest.raises(ValueError, match="mixes"):
         Batch(1.0, ({A}, plain_itemset([B])))
@@ -233,3 +242,27 @@ def test_matches_equals_brute_force():
             [rng.sample(range(4), rng.randint(1, 2)) for _ in range(m)]
         )
         assert matches(pat, z) == _matches_brute(pat, z), (pat, z)
+
+
+def test_matches_equals_an_embedding_search_when_items_repeat():
+    # items repeat across a probe's itemsets, so an itemset that holds an
+    # element's first item need not hold the element; half the patterns
+    # are cut from the probe, so both answers are common
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        z = sequence([rng.sample(range(3), rng.randint(1, 3)) for _ in range(n)])
+        m = rng.randint(1, 4)
+        if rng.random() < 0.5 and m <= n:
+            cut = [z.elements[j] for j in sorted(rng.sample(range(n), m))]
+            pat = pattern([rng.sample(e, rng.randint(1, len(e))) for e in cut])
+        else:
+            pat = pattern([rng.sample(range(3), rng.randint(1, 2)) for _ in range(m)])
+        want = any(
+            all(set(e) <= set(z.elements[j]) for e, j in zip(pat.elements, at))
+            for at in itertools.combinations(range(n), len(pat.elements))
+        )
+        assert matches(pat, z) == want, (pat, z)
+        seen.add(want)
+    assert seen == {True, False}

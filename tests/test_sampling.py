@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from rps import model, oracle, weighting
+from rps.errors import ConfigurationError
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import Batch, Pattern, PlainItemset, matches, plain_itemset, sequence
 from rps.model import weighted_itemset
@@ -207,6 +208,31 @@ def test_pattern_draw_respects_first_occurrence_dedup():
         assert draw_pattern_of_norm(z, 2, FREQ, rng) == Pattern(((A,), (A,)))
     with pytest.raises(ValueError):
         draw_pattern_of_norm(z, 3, FREQ, rng)
+
+
+def test_a_norm_of_no_mass_is_refused():
+    rng = random.Random(14)
+    plain = plain_itemset([A, B, C])
+    # util is not defined for plain itemsets, as weight_table says
+    with pytest.raises(ConfigurationError):
+        weight_table(plain, UTIL)
+    with pytest.raises(ConfigurationError):
+        draw_pattern_of_norm(plain, 2, UTIL, rng)
+    # a norm above max_norm or below min_norm weighs nothing, for each variant
+    for z, base in (
+        (plain, BaseMeasure.FREQ),
+        (weighted_itemset({A: 1.0, B: 2.0, C: 3.0}), BaseMeasure.UTIL),
+        (sequence([[A], [B, C]]), BaseMeasure.FREQ),
+    ):
+        band = MeasureSpec(base, min_norm=2, max_norm=2)
+        for ell in (1, 3):
+            state = rng.getstate()
+            with pytest.raises(ValueError, match=rf"norm {ell} outside \[2, 2\]"):
+                draw_pattern_of_norm(z, ell, band, rng)
+            assert rng.getstate() == state
+        assert draw_pattern_of_norm(z, 2, band, rng).norm == 2
+        with pytest.raises(ValueError, match=r"norm 1 outside \[2, 3\]"):
+            draw_pattern_of_norm(z, 1, MeasureSpec(base, min_norm=2), rng)
 
 
 def test_sample_from_batch_follows_batch_law():
