@@ -19,9 +19,10 @@ pattern has one generating walk.  A block at j after i must lie in no
 itemset between them; its admissible q-subsets are C(|I_j|, q) minus an
 inclusion-exclusion over the gap intersections, kept as signed
 coefficients per distinct intersection (a bit mask), which grows by one
-fold as i moves left.  Count vectors are packed ints, one digit per norm, so
-a convolution is one int product.  A draw reads the counts backwards and
-unranks each block from its tally, without enumerating subsets.
+fold as i moves left; a block records only the i where its count changes.
+Count vectors are packed ints, one digit per norm, so a convolution is one
+int product.  A draw reads the counts backwards and unranks each block from
+its tally, without enumerating subsets.
 
 An instance's plan holds its positive masses (W * c) * f(ell), W = 1.0 but
 for weighted itemsets, in norm order, with their prefix sums added left to
@@ -32,13 +33,15 @@ into cached (n, spec) terms.  A sequence's counts live in Sequence.memo.
 Cost limits: counting admissible blocks is a hitting-set count, so the
 tally can still hold exponentially many sets when every gap intersection is
 distinct (gaps B - {b} for each b of a block B give every subset of B).  A
-draw of a block makes |B| passes over that same tally.
+draw of a block makes |B| passes over that same tally.  A long sequence
+folds each block back to the first itemset that holds it, or to the start.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
@@ -252,22 +255,15 @@ def _digits(v: int, b: int, k: int) -> list[int]:
     return out
 
 
-def _block_ways(masks: list[int], j: int, power) -> list[int]:
-    """ways(i, j) for i = -1 .. j-1, at index i + 1: power(|B|) - sum(c *
-    power(|S|)) over the tally, power(m) being (1 + X)^m - 1.  Moving i left
-    from j - 1 folds one more gap, masks[i + 1] & masks[j], into the tally;
-    positions whose gap adds nothing share one int."""
-    base = masks[j]
-    tally: Tally = {}
-    ways = full = power(base.bit_count())
-    out = [ways] * (j + 1)
-    for i in range(j - 2, -2, -1):
-        gap = base & masks[i + 1]
-        if gap and (grown := _fold(tally, gap)) is not tally:
-            tally = grown
-            ways = full - sum(c * power(s.bit_count()) for s, c in tally.items())
-        out[i + 1] = ways
-    return out
+@lru_cache(maxsize=256)
+def _power(m: int, b: int, cap: int) -> int:
+    """(1 + X)^m - 1 below X^(cap + 1) at X = 2^b: C(m, ell) at digit ell.
+    Made per m asked for, so a wide itemset builds only its own power."""
+    got, c = 0, 1
+    for ell in range(1, min(m, cap) + 1):
+        c = c * (m - ell + 1) // ell
+        got |= c << b * ell
+    return got
 
 
 class SequenceCounts:
@@ -288,12 +284,17 @@ class SequenceCounts:
     is at most C(norm, ell).  This is exact because every true digit lies in
     [0, 2^b): the ints add and multiply as the polynomials do, and masking to
     cap + 1 digits reduces mod 2^(b(cap + 1)), which leaves the truncated
-    polynomial whatever the intermediate digits carried.  Rows are filled from
-    the last back: row(i) = row(i + 1) * (1 + ways(i, i + 1)) + sum over j > i
-    + 1 of (ways(i, j) - ways(i + 1, j)) * row(j), masked, skipping each j
-    whose vector _block_ways shares.  draw reads the rows backwards."""
+    polynomial whatever the intermediate digits carried.
 
-    __slots__ = ("elements", "cap", "_by_norm", "_n", "_b", "_masks", "_ways", "_rows")
+    No table is kept.  ways(j - 1, j) is full(j) = (1 + X)^|I_j| - 1, and
+    block j's change list holds the i where ways(i, j) changes as i moves
+    left, read with one bisect.  A block that shares no item with an
+    earlier itemset is not folded, and a fold stops at a count of 0, as at
+    an itemset that holds the block.  Rows are filled from the last back:
+    row(i) = row(i + 1) * (1 + full(i + 1)) plus each change at i times its
+    block's row, masked.  Memory is O(n + changes)."""
+
+    __slots__ = ("elements", "cap", "_by_norm", "_n", "_b", "_masks", "_full", "_changes", "_rows")
 
     def __init__(self, elements: tuple[Items, ...], cap: int):
         if cap < 0:
@@ -304,33 +305,45 @@ class SequenceCounts:
         b = self._b = math.comb(norm, min(cap, norm // 2)).bit_length()
         bit = {item: 1 << at for at, item in enumerate(sorted(set().union(*elements)))}
         masks = self._masks = [sum(map(bit.__getitem__, e)) for e in elements]
-        powers: dict[int, int] = {}
-
-        def power(m: int) -> int:
-            # (1 + X)^m - 1 below X^(cap + 1): C(m, ell) at digit ell
-            if m not in powers:
-                got, c = 0, 1
-                for ell in range(1, min(m, cap) + 1):
-                    c = c * (m - ell + 1) // ell
-                    got |= c << b * ell
-                powers[m] = got
-            return powers[m]
-
-        # _ways[j][i + 1] = ways(i, j)
-        block_ways = self._ways = [_block_ways(masks, j, power) for j in range(n)]
+        full = self._full = [_power(len(e), b, cap) for e in elements]
+        # _changes[j] = (marks, values): ways(i, j) = values[k] for -marks[k]
+        # >= i > -marks[k + 1], full(j) for i > -marks[0]
+        changes = self._changes = {}
+        seen = 0  # the items left of block j
+        for j, base in enumerate(masks):
+            if base & seen:
+                tally, (marks, values) = {}, changes.setdefault(j, ([], []))
+                for p in range(j - 1, -1, -1):  # the gap at p lies after i = p - 1
+                    gap = base & masks[p]
+                    if gap and (grown := _fold(tally, gap)) is not tally:
+                        tally = grown
+                        ways = full[j] - sum(
+                            c * _power(s.bit_count(), b, cap) for s, c in tally.items()
+                        )
+                        marks.append(1 - p)
+                        values.append(ways)
+                        if not ways:  # an itemset holds the block: 0 from here left
+                            break
+            seen |= base
         keep = (1 << b * (cap + 1)) - 1
-        # _rows[i + 1] = continuation(i, .)
-        rows = [0] * n + [1]
-        for i in range(n - 2, -2, -1):
-            row = rows[i + 2] * (1 + block_ways[i + 1][i + 1])
-            for j in range(i + 2, n):
-                now, before = block_ways[j][i + 1], block_ways[j][i + 2]
-                if now is not before:
-                    row += (now - before) * rows[j + 1]
-            rows[i + 1] = row & keep
+        # _rows[i + 1] = continuation(i, .); pending[i + 1]: the changes at i times their rows
+        rows, pending = [0] * n + [1], [0] * n
+        for j in range(n - 1, -1, -1):
+            if j in changes:
+                ways = full[j]
+                for mark, now in zip(*changes[j]):
+                    pending[1 - mark] += (now - ways) * rows[j + 1]
+                    ways = now
+            rows[j] = (rows[j + 1] * (1 + full[j]) + pending[j]) & keep
         self._rows = rows
         # _by_norm[ell]: the distinct patterns of norm ell, continuation(-1, ell)
         self._by_norm = tuple(_digits(rows[0], b, cap + 1))
+
+    def _ways(self, i: int, j: int) -> int:
+        # the change nearest i at or right of it, else the full vector
+        marks, values = self._changes.get(j, ((), ()))
+        at = bisect_right(marks, -i)
+        return values[at - 1] if at else self._full[j]
 
     def ways(self, i: int, j: int) -> tuple[int, ...]:
         """ways(i, j)[q]: admissible q-blocks at position j after position i,
@@ -338,7 +351,7 @@ class SequenceCounts:
         if not -1 <= i < j < self._n:
             raise ValueError(f"no block at {j} after {i}")
         top = min(self.cap, len(self.elements[j]))
-        return tuple(_digits(self._ways[j][i + 1], self._b, top + 1))
+        return tuple(_digits(self._ways(i, j), self._b, top + 1))
 
     def row(self, i: int) -> tuple[int, ...]:
         """continuation(i, ell) for ell = 0 .. cap, for -1 <= i < len(elements)."""
@@ -391,7 +404,8 @@ class SequenceCounts:
 
     def count(self, ell: int) -> int:
         """Number of distinct patterns of norm ell in the sequence."""
-        self._check(ell)
+        if not 1 <= ell <= self.cap:
+            raise ValueError(f"norm {ell} outside [1, {self.cap}]")
         return self._by_norm[ell]
 
     def draw(self, ell: int, rng: Random) -> tuple[Items, ...]:
@@ -401,10 +415,12 @@ class SequenceCounts:
         The mass at j is digit top of one product, ways(i, j) * window, the
         window holding the top = min(remaining, widest itemset) digits of
         row(j) just below remaining: each lower digit of the product is at
-        most a count of a lower norm, below 2^b, so none carries.  Only the
-        chosen j's vector and window are decoded, once."""
-        self._check(ell)
-        b, rows, block_ways = self._b, self._rows, self._ways
+        most a count of a lower norm, below 2^b, so none carries; a j where
+        no block fits is passed.  Only the chosen j's vector and window are
+        decoded, once.  A whole itemset, or one item when every item fits,
+        is read off by its rank; other blocks are unranked."""
+        self.count(ell)  # refuses a norm outside [1, cap]
+        b, rows, ways_at = self._b, self._rows, self._ways
         widest = max(map(len, self.elements))
         digit = (1 << b) - 1
         parts: list[Items] = []
@@ -415,26 +431,28 @@ class SequenceCounts:
             top = min(remaining, widest)
             below, low, shift = (1 << b * remaining) - 1, b * (remaining - top), b * top
             for j in range(i + 1, self._n):
-                window = (rows[j + 1] & below) >> low
-                mass = block_ways[j][i + 1] * window >> shift & digit
-                if r < mass:
-                    break
-                r -= mass
-            ways, after = _digits(block_ways[j][i + 1], b, top + 1), _digits(window, b, top)
+                if ways := ways_at(i, j):  # else no block fits at j: no mass
+                    window = (rows[j + 1] & below) >> low
+                    mass = ways * window >> shift & digit
+                    if r < mass:
+                        break
+                    r -= mass
+            ways, after = _digits(ways, b, top + 1), _digits(window, b, top)
             for q in range(1, top + 1):
                 count = ways[q]
                 mass = count * after[top - q]
                 if r < mass:
                     break
                 r -= mass
-            parts.append(self._unrank(i, j, q, _below(rng, count)))
+            r, block = _below(rng, count), self.elements[j]
+            if q == 1 and count == len(block):  # every item fits: the r-th
+                block = (block[r],)
+            elif q < len(block):  # not the whole itemset
+                block = self._unrank(i, j, q, r)
+            parts.append(block)
             i = j
             remaining -= q
         return tuple(parts)
-
-    def _check(self, ell: int) -> None:
-        if not 1 <= ell <= self.cap:
-            raise ValueError(f"norm {ell} outside [1, {self.cap}]")
 
 
 def _below(rng: Random, n: int) -> int:

@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -137,20 +138,49 @@ def _nested_sequence(rng: random.Random, alphabet: int, length: int) -> Sequence
     return sequence(elements)
 
 
+def _covering_sequence(rng: random.Random, alphabet: int, length: int) -> Sequence:
+    # itemsets that repeat earlier ones or hold them, so that many blocks
+    # lie behind an itemset that holds them, where their counting stops
+    elements: list[list[int]] = [rng.sample(range(alphabet), rng.randint(1, 3))]
+    for _ in range(length - 1):
+        earlier = rng.choice(elements)
+        roll = rng.random()
+        if roll < 0.35:
+            elements.append(list(earlier))
+        elif roll < 0.7:
+            extra = rng.sample(range(alphabet), rng.randint(1, 2))
+            elements.append(sorted(set(earlier) | set(extra)))
+        else:
+            elements.append(rng.sample(range(alphabet), rng.randint(1, 3)))
+    return sequence(elements)
+
+
+def _held(z: Sequence, i: int, j: int) -> bool:
+    # an itemset between positions i and j holds the whole of elements[j]
+    return any(set(z.elements[j]) <= set(e) for e in z.elements[i + 1 : j])
+
+
 def test_block_ways_equal_admissible_enumeration():
     rng = random.Random(3140)
-    for _ in range(150):
-        z = _nested_sequence(rng, rng.choice((3, 6, 10)), rng.randint(1, 9))
+    cases = [
+        _nested_sequence(rng, rng.choice((3, 6, 10)), rng.randint(1, 9)) for _ in range(150)
+    ]
+    cases += [_covering_sequence(rng, rng.choice((4, 6)), rng.randint(2, 9)) for _ in range(60)]
+    across = 0
+    for z in cases:
         counts = SequenceCounts(z.elements, rng.randint(1, z.norm))
         for j, base in enumerate(z.elements):
             for i in range(-1, j):
                 ways = counts.ways(i, j)
                 assert len(ways) == min(counts.cap, len(base)) + 1
+                across += _held(z, i, j)
                 for q in range(1, len(ways)):
                     want = oracle.admissible_blocks(base, z.elements[i + 1 : j], q)
                     assert ways[q] == len(want), (z, i, j, q)
                     got = [counts.block(i, j, q, r) for r in range(ways[q])]
                     assert got == want, (z, i, j, q)
+    # block pairs with an itemset between them that holds the block
+    assert across > 500
 
 
 def test_sequence_counts_match_enumeration_on_nested_itemsets():
@@ -185,6 +215,9 @@ def test_sequence_counts_table_equals_the_direct_sum():
     ]
     # one itemset: a single ways vector, masked below its size at each cap
     cases += [sequence([range(size)]) for size in range(1, 13)]
+    # blocks behind itemsets that hold them drop out of the rows left of those
+    cases += [_covering_sequence(rng, rng.choice((3, 5)), rng.randint(2, 10)) for _ in range(60)]
+    assert sum(_held(z, -1, j) for z in cases for j in range(len(z.elements))) > 100
     for z in cases:
         for cap in range(z.norm + 1):
             counts = SequenceCounts(z.elements, cap)
@@ -254,6 +287,78 @@ def test_sequence_counts_stress_bound():
     # any two items in a row, or any two together
     assert counts.count(2) == 16 * 16 + math.comb(16, 2)
     assert counts.count(12) > 0
+
+
+def _counted_folds(monkeypatch) -> list[int]:
+    # the gap of every _fold call SequenceCounts makes while counting
+    gaps: list[int] = []
+    fold = weighting._fold
+    monkeypatch.setattr(weighting, "_fold", lambda tally, gap: gaps.append(gap) or fold(tally, gap))
+    return gaps
+
+
+def test_blocks_that_share_no_earlier_item_are_not_folded(monkeypatch):
+    gaps = _counted_folds(monkeypatch)
+    disjoint = sequence([[0], [1, 2], [3], [4, 5, 6], [7]])
+    assert weight_table(disjoint, FREQ) == streamgen.enumeration_table(disjoint, FREQ)
+    # nor walked: 5000 distinct items would pass 12.5 million empty gaps
+    start = time.process_time()
+    counts = SequenceCounts(tuple((item,) for item in range(5000)), 5)
+    assert time.process_time() - start < 0.5
+    assert counts.count(5) == math.comb(5000, 5) and gaps == []
+    # one shared item is enough to fold
+    SequenceCounts(((0,), (1,), (0, 2)), 3)
+    assert gaps == [0b001]
+
+
+def test_a_block_stops_folding_at_an_itemset_that_holds_it(monkeypatch):
+    gaps = _counted_folds(monkeypatch)
+    # each {0} is held by the one right before it: one fold per block, not
+    # one per earlier position
+    counts = SequenceCounts(((0,),) * 40, 5)
+    assert len(gaps) == 39
+    assert [counts.count(ell) for ell in range(1, 6)] == [1] * 5
+    assert all(counts.ways(i, j) == (0, 0) for j in range(40) for i in range(-1, j - 1))
+    # the last {0, 1} is held by {0, 1, 3} two places back and folds that
+    # gap alone: the {0, 1} and {0} before it are never reached
+    prefix = ((0, 1), (0,), (2,), (0, 1, 3), (2,))
+    del gaps[:]
+    SequenceCounts(prefix, 5)
+    prefix_folds = len(gaps)
+    del gaps[:]
+    counts = SequenceCounts(prefix + ((0, 1),), 5)
+    assert len(gaps) == prefix_folds + 1 and gaps[-1] == 0b0011
+    z = sequence(prefix + ((0, 1),))
+    for i in range(-1, 5):
+        want = [len(oracle.admissible_blocks((0, 1), z.elements[i + 1 : 5], q)) for q in (1, 2)]
+        assert list(counts.ways(i, 5)[1:]) == want, i
+    assert counts.ways(2, 5) == (0, 0, 0) and counts.ways(3, 5) == (0, 2, 1)
+
+
+def test_a_long_sequence_is_counted_without_a_table():
+    # 20 000 one-item itemsets over 100 items at cap 5: a table of ways(i,
+    # j) ints would hold 2 * 10^8 of them; the change lists hold one per
+    # block, as each block stops at the last itemset that held its item.
+    # Every word of 5 items occurs in so long a random line
+    rng = random.Random(20000)
+    elements = tuple((rng.randrange(100),) for _ in range(20000))
+
+    def count_and_draw() -> tuple:
+        counts = SequenceCounts(elements, 5)
+        draws = random.Random(5)
+        return counts.count(5), [counts.draw(5, draws) for _ in range(20)]
+
+    start = time.process_time()
+    patterns, drawn = count_and_draw()
+    assert time.process_time() - start < 2.0
+    assert patterns == 100**5 and all(sum(map(len, x)) == 5 for x in drawn)
+    tracemalloc.start()
+    try:
+        assert count_and_draw() == (patterns, drawn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_sequence_state_lives_with_the_sequence():
