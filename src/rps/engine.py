@@ -124,12 +124,19 @@ class Featurizer:
         return bits
 
     def _slot_masks(self) -> None:
-        masks = self._masks = {}
+        # each mask is set in a bitmap and made an int once: ORing bit after
+        # bit into a growing int would copy it per bit, quadratic in k
+        slots_of: dict[int, list[int]] = {}
         for bucket in self._buckets.values():
             for slot, _, screen in bucket:
-                bit = 1 << slot
                 for item in screen:
-                    masks[item] = masks.get(item, 0) | bit
+                    slots_of.setdefault(item, []).append(slot)
+        masks = self._masks = {}
+        for item, slots in slots_of.items():
+            bitmap = bytearray(max(slots) // 8 + 1)
+            for slot in slots:
+                bitmap[slot >> 3] |= 1 << (slot & 7)
+            masks[item] = int.from_bytes(bitmap, "little")
         self._least = len(self._buckets) * len(masks) // len(self._patterns)
 
 

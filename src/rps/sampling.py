@@ -10,7 +10,11 @@ its sorted ids, a sequence by its counts (SequenceCounts.draw), which read
 the first-occurrence counting rows backwards, block by block.
 
 All randomness comes from the caller's random.Random, consumed in the fixed
-order row, norm, pattern; replaying a seed replays the draws.
+order row, norm, pattern; replaying a seed replays the draws.  An itemset
+pattern's items come from a partial Fisher-Yates over a copy of its row's
+items (_subset), on the bits sample_distinct_indices would take for their
+indices, so the random-number order is that of the draw by indices; the
+engine's eviction slots come from sample_distinct_indices.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
     """k distinct indices uniform over range(n), by partial Fisher-Yates.
 
     Each index takes the bits randrange(i, n) would on CPython 3.10-3.13;
-    sparse dict bookkeeping keeps this O(k) regardless of n.
+    sparse dict bookkeeping keeps this O(k) regardless of n.  The engine
+    draws its eviction slots here; an itemset pattern's items are shuffled
+    in place by _subset, on the same bits.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -69,17 +75,32 @@ def draw_pattern_of_norm(z: Instance, ell: int, spec: MeasureSpec, rng: Random) 
 
 
 def _subset(items: Items, sums: list[float] | None, ell: int, rng: Random) -> tuple[Items]:
-    if sums is None:  # a uniform ell-subset
-        chosen = [items[i] for i in sample_distinct_indices(rng, len(items), ell)]
-    else:
+    # a uniform ell-subset, shuffled in a fresh copy of the items: a row's
+    # drawer serves every draw that picks it
+    pool = list(items)
+    if sums is not None:
         # pivot item i with probability w_i / W (sums: the prefix sums of the
         # item weights), then a uniform (ell-1)-subset of the rest: P(x) =
         # sum_{i in x} w_i / (W * C(n-1, ell-1)), x's mass over the table's
-        pivot = bisect_right(sums, rng.random() * sums[-1])
-        rest = sample_distinct_indices(rng, len(items) - 1, ell - 1)
-        chosen = [items[pivot], *(items[i if i < pivot else i + 1] for i in rest)]
-    chosen.sort()
-    return (tuple(chosen),)
+        pivot = pool.pop(bisect_right(sums, rng.random() * sums[-1]))
+        ell -= 1
+    n = len(pool)
+    if not 0 <= ell <= n:
+        raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
+    getrandbits = rng.getrandbits
+    for i in range(ell):
+        width = n - i
+        bits = width.bit_length()
+        j = getrandbits(bits)
+        while j >= width:
+            j = getrandbits(bits)
+        j += i
+        pool[i], pool[j] = pool[j], pool[i]
+    del pool[ell:]
+    if sums is not None:
+        pool.append(pivot)
+    pool.sort()
+    return (tuple(pool),)
 
 
 def _drawer(row: set[int] | Instance, spec: MeasureSpec) -> Callable:

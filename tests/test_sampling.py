@@ -16,6 +16,7 @@ from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import Batch, Pattern, PlainItemset, matches, plain_itemset, sequence
 from rps.model import weighted_itemset
 from rps.sampling import (
+    _subset,
     draw_pattern_of_norm,
     sample_distinct_indices,
     sample_from_batch,
@@ -90,6 +91,49 @@ def test_sample_distinct_indices_uniform():
     assert len(counts) == 6
     for pair, c in counts.items():
         assert c / 30_000 == pytest.approx(1 / 6, abs=0.01), pair
+
+
+def _indexed_subset(items, sums, ell, rng):
+    """An itemset pattern drawn by indices: sample_distinct_indices, then the
+    items at them, skipping a weighted row's pivot."""
+    if sums is None:
+        chosen = [items[i] for i in sample_distinct_indices(rng, len(items), ell)]
+    else:
+        pivot = bisect_right(sums, rng.random() * sums[-1])
+        rest = sample_distinct_indices(rng, len(items) - 1, ell - 1)
+        chosen = [items[pivot], *(items[i if i < pivot else i + 1] for i in rest)]
+    return (tuple(sorted(chosen)),)
+
+
+def _subset_cases():
+    # every ell for small n; around powers of two, where widths need
+    # retries, and up to 1000, the ends and a few ells between
+    for n in range(1, 34):
+        yield from ((n, ell) for ell in range(1, n + 1))
+    for n in (63, 64, 65, 127, 128, 129, 255, 256, 257, 1000):
+        yield from ((n, ell) for ell in sorted({1, 2, 3, n // 3, n // 2, n - 2, n - 1, n}))
+
+
+def test_an_itemset_draw_takes_the_items_and_bits_of_the_indexed_draw():
+    # the in-place shuffle over the row's items against the draw by
+    # indices: the same pattern and the same generator state after each
+    # draw, plain and weighted, with the pivot first, last or drawn
+    rng = random.Random(21)
+    for n, ell in _subset_cases():
+        items = tuple(sorted(rng.sample(range(5 * n), n)))
+        weights = list(itertools.accumulate(rng.random() + 0.1 for _ in range(n)))
+        first = [1.0] * n  # every point lands on item 0
+        last = [0.0] * (n - 1) + [1.0]  # every point lands on item n - 1
+        for sums in (None, first, last, weights):
+            seed = rng.getrandbits(32)
+            ours, ref = random.Random(seed), random.Random(seed)
+            for _ in range(3):  # draws in a row from the same items
+                assert _subset(items, sums, ell, ours) == _indexed_subset(items, sums, ell, ref)
+                assert ours.getstate() == ref.getstate(), (n, ell, sums is None)
+    assert _subset((A,), [1.0], 1, rng) == ((A,),)
+    for sums, ell in ((None, 3), (None, -1), ([1.0, 2.0], 3), ([1.0, 2.0], 0)):
+        with pytest.raises(ValueError):
+            _subset((A, B), sums, ell, rng)
 
 
 def test_draw_instance_proportional():
