@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import RpsError
+
 _EPS = 1e-14
 _FPMIN = 1e-300
 _MAX_ITER = 300
@@ -63,7 +65,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
-    raise ArithmeticError(
+    raise RpsError(
         f"incomplete beta continued fraction did not converge for a={a}, b={b}, x={x}"
     )
 

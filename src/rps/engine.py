@@ -22,7 +22,11 @@ short of p at k > 1; rps.oracle keeps them for comparison.)
 
 Randomness comes from one seeded generator, consumed in a fixed order per
 batch: acceptance uniform, then eviction slots, then pattern draws; the
-first acceptance fills the empty reservoir without eviction draws.
+first acceptance fills the empty reservoir without eviction draws.  A batch
+commits once: its next state is worked out in locals and written in one
+block after every call that can raise.  A refusal before the decision
+consumes no random number; a failure from the decision on leaves every
+attribute but rng unchanged.
 """
 
 from __future__ import annotations
@@ -193,8 +197,9 @@ class ReservoirSampler:
         return self._featurizer(z)
 
     def process_batch(self, batch: Batch) -> BatchReport:
-        """Offer one batch to the reservoir.  A batch that raises changes
-        nothing: it is validated and weighed before any state moves.  It is
+        """Offer one batch to the reservoir.  It commits once: a refusal
+        before the decision consumes no random number, and a failure from
+        the decision on leaves every attribute but rng unchanged.  It is
         weighed and drawn from its rows, so no instance is built."""
         t = batch.timestamp
         if not math.isfinite(t):
@@ -212,47 +217,37 @@ class ReservoirSampler:
             )
         # raises ConfigurationError if the measure does not fit the variant
         w, masses = batch_weight(batch, self.spec)
+        # a batch of no mass is only seen: it adds nothing to the normalizer
+        scaled_mass, t_mass, p, n, slots = self._scaled_mass, self._t_mass, 0.0, 0, ()
         if w > 0.0:
-            if self._t_mass is None:
-                scaled_mass = w
-            else:
-                decay = math.exp(-self.damping * (t - self._t_mass))
-                scaled_mass = self._scaled_mass * decay + w
+            # the first mass has 0.0 * 0.0 + w == w exactly, and p == 1.0
+            decay = 0.0 if t_mass is None else math.exp(-self.damping * (t - t_mass))
+            scaled_mass, t_mass = scaled_mass * decay + w, t
             if scaled_mass == math.inf:
                 raise WeightOverflowError(
                     f"damped stream mass at t={t:g} exceeds the largest float"
                 )
+            p = w / scaled_mass
+            k = self.capacity
+            n = betainc.realisations_from_uniform(k, p, self.rng.random())
+            if n:
+                # the first acceptance has p == 1 and n == k: it fills every slot
+                slots = sample_distinct_indices(self.rng, k, n) if self._entries else range(n)
+                patterns = sample_from_batch(batch, self.spec, n, self.rng, masses)
 
-        self._t_seen = t
-        self._variant = variant
+        self._t_seen, self._variant = t, variant
+        self._scaled_mass, self._t_mass = scaled_mass, t_mass
         self.batches_seen += 1
-        if w <= 0.0:
-            # nothing to sample and nothing to add to the normalizer; the
-            # batch still counts as seen
-            return BatchReport(t, w, 0.0, False, 0, ())
-
-        self._scaled_mass = scaled_mass
-        self._t_mass = t
-        p = w / scaled_mass  # exactly 1.0 on the first mass
-
-        k = self.capacity
-        n = betainc.realisations_from_uniform(k, p, self.rng.random())
-        if n < 1:
-            return BatchReport(t, w, p, False, 0, ())
-        self.batches_accepted += 1
-        self._featurizer = None
-
-        # the first acceptance has p == 1 and n == k: it fills every slot
-        slots = sample_distinct_indices(self.rng, k, n) if self._entries else range(n)
-        patterns = sample_from_batch(batch, self.spec, n, self.rng, masses)
-        if self._entries:
-            for s, pat in zip(slots, patterns):
-                self._entries[s] = (t, pat)
-        else:
-            self._entries = [(t, pat) for pat in patterns]
-
-        self.insertions += n
-        return BatchReport(t, w, p, True, n, tuple(slots))
+        if n:
+            if self._entries:
+                for s, pat in zip(slots, patterns):
+                    self._entries[s] = (t, pat)
+            else:
+                self._entries = [(t, pat) for pat in patterns]
+            self.batches_accepted += 1
+            self.insertions += n
+            self._featurizer = None
+        return BatchReport(t, w, p, n > 0, n, tuple(slots))
 
     def process_stream(self, batches) -> list[BatchReport]:
         return [self.process_batch(b) for b in batches]

@@ -374,10 +374,12 @@ class SequenceCounts:
         return self._unrank(i, j, q, r)
 
     def _unrank(self, i: int, j: int, q: int, r: int) -> Items:
-        rest = self._masks[j]
+        rest, masks = self._masks[j], self._masks
+        # the gaps right of i that moved j's tally while counting, in order
+        marks = self._changes.get(j, ((), ()))[0]
         tally: Tally = {}
-        for other in self._masks[i + 1 : j]:
-            tally = _fold(tally, rest & other)
+        for mark in marks[: bisect_right(marks, -i)]:
+            tally = _fold(tally, rest & masks[1 - mark])
         held = list(tally.items())
         taken: list[int] = []
         # free = C(left, need + 1), the blocks that take the rest from the items left

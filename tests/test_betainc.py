@@ -6,6 +6,7 @@ import random
 import pytest
 
 from rps import betainc
+from rps.errors import RpsError
 from rps.betainc import (
     _DIRECT_MAX_TRIALS,
     _largest_above,
@@ -129,6 +130,17 @@ def test_reject_first_matches_the_search(monkeypatch):
     )
     assert realisations_from_uniform(1000, 1e-4, 0.5) == 0
     assert calls == [(1, 1000, 1e-4)]
+
+
+def test_a_decision_that_does_not_converge_is_a_typed_refusal():
+    # the continued fraction stops after _MAX_ITER terms, which at p = 0.5
+    # last up to k = 373 998; past it the decision is refused, not miscounted
+    for x in (0.01, 0.25, 0.5, 0.75, 0.99):
+        assert 0 < realisations_from_uniform(373_998, 0.5, x) <= 373_998
+        with pytest.raises(RpsError, match="did not converge for a=.*, b=.*, x="):
+            realisations_from_uniform(373_999, 0.5, x)
+    with pytest.raises(RpsError):
+        realisations_from_uniform(400_000, 0.5, 0.5)
 
 
 def test_realisations_from_uniform_mean():

@@ -13,10 +13,11 @@ from rps.engine import MAX_CAPACITY, Featurizer, ReservoirSampler
 from rps.errors import (
     ConfigurationError,
     ReservoirNotReady,
+    RpsError,
     StreamOrderError,
     WeightOverflowError,
 )
-from rps import engine, model
+from rps import betainc, engine, model
 from rps.formats import write_snapshot
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import (
@@ -630,6 +631,70 @@ def test_failed_batch_changes_nothing():
         twin.process_batch(Batch(t, (plain_itemset(items),)))
     s.process_batch(Batch(3.0, (plain_itemset([B, C]),)))
     assert _state(s) == _state(twin)
+
+
+def _stream_state(s: ReservoirSampler):
+    # every attribute a batch writes but rng
+    return (
+        s.snapshot(), s._scaled_mass, s._t_mass, s._t_seen, s._variant,
+        s.batches_seen, s.batches_accepted, s.insertions,
+    )
+
+
+def _forced_failure(*args):
+    raise RuntimeError("forced")
+
+
+def test_a_batch_that_fails_after_weighing_changes_nothing_but_rng(monkeypatch):
+    """A failure at the decision, the eviction or the draw leaves every
+    attribute the batch would write as it was.  All three stages come after
+    the decision uniform is drawn, so each of them has advanced rng.
+
+    Only the decision can fail in practice (see the next test).  The
+    eviction picks n <= k distinct slots of k, and every row a draw can pick
+    was weighed to a positive, finite mass."""
+    stages = {
+        "decide": (betainc, "realisations_from_uniform"),
+        "evict": (engine, "sample_distinct_indices"),
+        "draw": (engine, "sample_from_batch"),
+    }
+    # e^-100 leaves p == 1.0 at t = 101: unforced, every slot is evicted and drawn
+    late = Batch(101.0, (plain_itemset([D, E]),))
+    for stage, (module, name) in stages.items():
+        s = ReservoirSampler(FREQ, capacity=3, damping=1.0, seed=4)
+        s.process_batch(Batch(1.0, (plain_itemset([A, B, C]),)))
+        s.feature_vector(plain_itemset([A, B]))
+        featurizer, before, rng = s._featurizer, _stream_state(s), s.rng.getstate()
+        with monkeypatch.context() as m:
+            m.setattr(module, name, _forced_failure)
+            with pytest.raises(RuntimeError, match="forced"):
+                s.process_batch(late)
+        assert _stream_state(s) == before and s._featurizer is featurizer, stage
+        assert s.rng.getstate() != rng, stage  # the decision uniform is drawn
+        report = s.process_batch(late)
+        assert report.realisations == 3 and sorted(report.evicted) == [0, 1, 2], stage
+    # the first batch fills the reservoir with no eviction: decide and draw
+    for stage in ("decide", "draw"):
+        s = ReservoirSampler(FREQ, capacity=3, seed=4)
+        before, rng = _stream_state(s), s.rng.getstate()
+        with monkeypatch.context() as m:
+            m.setattr(*stages[stage], _forced_failure)
+            with pytest.raises(RuntimeError, match="forced"):
+                s.process_batch(late)
+        assert _stream_state(s) == before and s.rng.getstate() != rng, stage
+        assert s.process_batch(late).realisations == 3
+
+
+def test_a_decision_that_does_not_converge_changes_nothing_but_rng():
+    # at k = 400 000 the second batch has p = 0.5, past what the continued
+    # fraction of the n_r decision covers (ROADMAP item 1)
+    s = ReservoirSampler(FREQ, capacity=400_000, seed=3)
+    s.process_batch(Batch(1.0, (plain_itemset([0, 1]),)))
+    before = _stream_state(s)
+    with pytest.raises(RpsError, match="did not converge"):
+        s.process_batch(Batch(2.0, (plain_itemset([2, 3]),)))
+    assert _stream_state(s) == before
+    assert (s.batches_seen, s._scaled_mass, s._t_mass, s._t_seen) == (1, 3.0, 1.0, 1.0)
 
 
 def test_stream_variant_is_pinned_at_its_first_non_empty_batch():

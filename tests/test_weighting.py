@@ -335,6 +335,23 @@ def test_a_block_stops_folding_at_an_itemset_that_holds_it(monkeypatch):
     assert counts.ways(2, 5) == (0, 0, 0) and counts.ways(3, 5) == (0, 2, 1)
 
 
+def test_a_block_is_unranked_from_the_gaps_at_its_change_marks(monkeypatch):
+    gaps = _counted_folds(monkeypatch)
+    # forty {0} gaps before {0, 1}: only the last changed its tally while
+    # counting, so unranking folds that one gap, not forty
+    elements = ((0,),) * 40 + ((0, 1),)
+    counts = SequenceCounts(elements, 5)
+    del gaps[:]
+    assert counts.block(-1, 40, 1, 0) == (1,) and len(gaps) == 1
+    for i in range(-1, 40):
+        ways = counts.ways(i, 40)
+        for q in (1, 2):
+            del gaps[:]
+            got = [counts.block(i, 40, q, r) for r in range(ways[q])]
+            assert got == oracle.admissible_blocks((0, 1), elements[i + 1 : 40], q), (i, q)
+            assert len(gaps) == len(got) * (i < 39), (i, q)
+
+
 def test_a_long_sequence_is_counted_without_a_table():
     # 20 000 one-item itemsets over 100 items at cap 5: a table of ways(i,
     # j) ints would hold 2 * 10^8 of them; the change lists hold one per
