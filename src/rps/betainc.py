@@ -23,14 +23,15 @@ from .errors import RpsError
 
 _EPS = 1e-14
 _FPMIN = 1e-300
-_MAX_ITER = 300
 
 # crossover between direct summation and the continued fraction
 _DIRECT_MAX_TRIALS = 64
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for I_x(a, b), modified Lentz scheme."""
+    """Continued fraction for I_x(a, b), modified Lentz scheme.  It takes
+    O(sqrt(max(a, b))) terms on the side where it is used, so its limit
+    grows with a + b: up to 3462 terms at the largest capacity."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -40,7 +41,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
+    for m in range(1, 301 + math.isqrt(int(qab))):
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))

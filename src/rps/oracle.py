@@ -209,13 +209,4 @@ def draw_realisations_conditional(k: int, p: float, rng: Random) -> int:
         raise ValueError(f"reservoir capacity must be >= 1, got {k}")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"acceptance probability must be in (0, 1], got {p}")
-    s1 = binomial_survival(1, k, p)
-    target = rng.random() * s1
-    lo, hi = 1, k
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if binomial_survival(mid, k, p) >= target:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    return _largest_above(k, p, rng.random() * binomial_survival(1, k, p))

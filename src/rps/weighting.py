@@ -30,6 +30,12 @@ right; tables, weights and draws all read it.  A plain itemset's plan depends
 on (n, spec) alone and is cached; a weighted itemset multiplies its own W
 into cached (n, spec) terms.  A sequence's counts live in Sequence.memo.
 
+This is the one module that tells a batch's rows apart.  _row_plan gives a
+row's plan and its drawer: a tx row (a set of ids) has the plan of its
+size and draws from its sorted ids; an itemset's pattern is a partial
+Fisher-Yates over its items (_subset), after a pivot item picked by weight
+for a weighted itemset; a sequence draws by its counts.
+
 Cost limits: counting admissible blocks is a hitting-set count, so the
 tally can still hold exponentially many sets when every gap intersection is
 distinct (gaps B - {b} for each b of a block B give every subset of B).  A
@@ -43,7 +49,7 @@ import math
 import sys
 from bisect import bisect_right
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from random import Random
 from typing import Iterable, Iterator
@@ -143,8 +149,11 @@ def _sequence_terms(z: Sequence, spec: MeasureSpec) -> Iterator[tuple[int, int, 
             yield ell, counts[ell], f
 
 
-def _plan_of(z: Instance, spec: MeasureSpec) -> Plan:
-    # a plain itemset's is the cached one of its size; the others are not kept
+def _plan_of(z: set[int] | Instance, spec: MeasureSpec) -> Plan:
+    # a plain itemset's, or a tx row's (a set of ids), is the cached one of
+    # its size; the others are not kept
+    if isinstance(z, set):
+        return _plain_plan(len(z), spec)
     if isinstance(z, PlainItemset):
         return _plain_plan(z.norm, spec)
     if isinstance(z, WeightedItemset):
@@ -466,6 +475,53 @@ def _below(rng: Random, n: int) -> int:
     while r >= n:
         r = rng.getrandbits(bits)
     return r
+
+
+def _subset(items: Items, sums: list[float] | None, ell: int, rng: Random) -> tuple[Items]:
+    # a uniform ell-subset by a partial Fisher-Yates over a fresh copy of the
+    # items (a row's drawer serves every draw that picks it), step i taking
+    # the bits sample_distinct_indices would for its i-th index
+    pool = list(items)
+    if sums is not None:
+        # pivot item i with probability w_i / W (sums: the prefix sums of the
+        # item weights), then a uniform (ell-1)-subset of the rest: P(x) =
+        # sum_{i in x} w_i / (W * C(n-1, ell-1)), x's mass over the table's
+        pivot = pool.pop(bisect_right(sums, rng.random() * sums[-1]))
+        ell -= 1
+    n = len(pool)
+    if not 0 <= ell <= n:
+        raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
+    getrandbits = rng.getrandbits
+    for i in range(ell):
+        width = n - i
+        bits = width.bit_length()
+        j = getrandbits(bits)
+        while j >= width:
+            j = getrandbits(bits)
+        j += i
+        pool[i], pool[j] = pool[j], pool[i]
+    del pool[ell:]
+    if sums is not None:
+        pool.append(pivot)
+    pool.sort()
+    return (tuple(pool),)
+
+
+def _row_plan(row: set[int] | Instance, spec: MeasureSpec) -> tuple:
+    """(norms, sums, draw): the row's norms of positive mass, their prefix
+    sums, and draw(ell, rng), the elements of a pattern of norm ell in the
+    row by measure mass.  A tx row draws from its sorted ids: no instance
+    is built."""
+    norms, _, sums = _plan_of(row, spec)
+    if isinstance(row, set):
+        draw = partial(_subset, tuple(sorted(row)), None)
+    elif isinstance(row, PlainItemset):
+        draw = partial(_subset, row.items, None)
+    elif isinstance(row, WeightedItemset):
+        draw = partial(_subset, row.items, list(accumulate(row.weights)))
+    else:
+        draw = sequence_counts(row, spec.norm_cap(row.norm)).draw
+    return norms, sums, draw
 
 
 _counts_lookups = {"hits": 0, "misses": 0}

@@ -2,11 +2,14 @@
 
 import math
 import random
+import time
+from fractions import Fraction
+from statistics import NormalDist
 
 import pytest
 
 from rps import betainc
-from rps.errors import RpsError
+from rps.engine import MAX_CAPACITY
 from rps.betainc import (
     _DIRECT_MAX_TRIALS,
     _largest_above,
@@ -132,15 +135,71 @@ def test_reject_first_matches_the_search(monkeypatch):
     assert calls == [(1, 1000, 1e-4)]
 
 
-def test_a_decision_that_does_not_converge_is_a_typed_refusal():
-    # the continued fraction stops after _MAX_ITER terms, which at p = 0.5
-    # last up to k = 373 998; past it the decision is refused, not miscounted
-    for x in (0.01, 0.25, 0.5, 0.75, 0.99):
-        assert 0 < realisations_from_uniform(373_998, 0.5, x) <= 373_998
-        with pytest.raises(RpsError, match="did not converge for a=.*, b=.*, x="):
-            realisations_from_uniform(373_999, 0.5, x)
-    with pytest.raises(RpsError):
-        realisations_from_uniform(400_000, 0.5, 0.5)
+def test_a_decision_past_300_terms_returns_a_count():
+    # the continued fraction used to stop after 300 terms, which at p = 0.5
+    # lasted up to k = 373 998; its limit now grows with k, and the counts
+    # lie where a normal approximation of Bin(k, 0.5) puts them
+    for k in (373_998, 373_999, 400_000):
+        sd = math.sqrt(k * 0.25)
+        for x in (0.01, 0.25, 0.5, 0.75, 0.99):
+            m = realisations_from_uniform(k, 0.5, x)
+            assert abs(m - (k / 2 + NormalDist().inv_cdf(1 - x) * sd)) < 2, (k, x)
+
+
+def _exact_inverse(k, p, xs):
+    # x -> (the largest m with P(Bin(k, p) >= m) >= x, with p read exactly
+    # as the float it is, and S(m), S(m + 1) as floats).  Over the common
+    # denominator D^k of p = P / D, the tail gains C(k, m) P^m (D - P)^(k-m)
+    # as m walks down from k
+    num, den = Fraction(p).as_integer_ratio()
+    scale = den**k
+    term, tail, out = num**k, 0, {}
+    todo = sorted(map(Fraction, xs))
+    for m in range(k, -1, -1):
+        above, tail = tail, tail + term
+        while todo and tail * todo[0].denominator >= todo[0].numerator * scale:
+            out[float(todo.pop(0))] = (m, tail / scale, above / scale)
+        if not todo:
+            return out
+        term = term * (den - num) * m // ((k - m + 1) * num)
+    raise AssertionError("S(0) = 1 holds every x")
+
+
+def _near(x, s):
+    # x within 1e-9 of the threshold s > 0, relative to s or to 1 - s,
+    # whichever is smaller, or within 1e-15 s (a few floats at s near 1)
+    return s > 0 and abs(x - s) <= 1e-9 * min(s, 1 - s) + 1e-15 * s
+
+
+def test_every_capacity_decides_on_a_log_grid():
+    # k from 1 to MAX_CAPACITY, p across (0, 1), x across [0, 1): every call
+    # returns within 0.25 s of CPU (about 7 ms at most on a 2-core VM), the
+    # count does not grow with x, and up to k = 3000 it is the exact inverse
+    # CDF, but where x is near a threshold S(m) (_near), which the float
+    # survival may put on either side of x: at k = 65, p = 0.5, S(33) is 0.5
+    # exactly and a float below it
+    ks = (1, 3, 10, 30, 64, 65, 100, 300, 1000, 3000, 10**4, 10**5, 10**6, MAX_CAPACITY)
+    ps = (1e-6, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 1 - 1e-4, 1 - 1e-6)
+    xs = (0.0, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999, 1 - 1e-9)
+    checked = near = 0
+    for k in ks:
+        for p in ps:
+            exact = _exact_inverse(k, p, xs) if k <= 3000 else None
+            last = k
+            for x in xs:
+                start = time.process_time()
+                m = realisations_from_uniform(k, p, x)
+                assert time.process_time() - start < 0.25, (k, p, x)
+                assert 0 <= m <= last, (k, p, x)
+                last = m
+                if exact is not None:
+                    want, at, above = exact[x]
+                    if _near(x, at) or _near(x, above):
+                        near += 1
+                    else:
+                        assert m == want, (k, p, x)
+                        checked += 1
+    assert checked > 50 * near
 
 
 def test_realisations_from_uniform_mean():

@@ -13,7 +13,6 @@ from rps.engine import MAX_CAPACITY, Featurizer, ReservoirSampler
 from rps.errors import (
     ConfigurationError,
     ReservoirNotReady,
-    RpsError,
     StreamOrderError,
     WeightOverflowError,
 )
@@ -685,16 +684,18 @@ def test_a_batch_that_fails_after_weighing_changes_nothing_but_rng(monkeypatch):
         assert s.process_batch(late).realisations == 3
 
 
-def test_a_decision_that_does_not_converge_changes_nothing_but_rng():
-    # at k = 400 000 the second batch has p = 0.5, past what the continued
-    # fraction of the n_r decision covers (ROADMAP item 1)
+def test_a_decision_at_400_000_slots_is_processed():
+    # at k = 400 000 the second batch has p = 0.5, past the 300 terms the
+    # continued fraction of the n_r decision used to stop at
     s = ReservoirSampler(FREQ, capacity=400_000, seed=3)
     s.process_batch(Batch(1.0, (plain_itemset([0, 1]),)))
-    before = _stream_state(s)
-    with pytest.raises(RpsError, match="did not converge"):
-        s.process_batch(Batch(2.0, (plain_itemset([2, 3]),)))
-    assert _stream_state(s) == before
-    assert (s.batches_seen, s._scaled_mass, s._t_mass, s._t_seen) == (1, 3.0, 1.0, 1.0)
+    report = s.process_batch(Batch(2.0, (plain_itemset([2, 3]),)))
+    assert report.probability == 0.5 and report.accepted
+    # Bin(k, 1/2) has a standard deviation of about 316 here
+    assert abs(report.realisations - 200_000) < 5 * 316
+    assert (s.batches_seen, s._scaled_mass, s._t_mass, s._t_seen) == (2, 6.0, 2.0, 2.0)
+    stamps = [t for t, _ in s.snapshot()]
+    assert len(stamps) == 400_000 and stamps.count(2.0) == report.realisations
 
 
 def test_stream_variant_is_pinned_at_its_first_non_empty_batch():

@@ -11,17 +11,12 @@ from types import SimpleNamespace
 import pytest
 
 from rps import model, oracle, weighting
-from rps.errors import ConfigurationError
+from rps.errors import ConfigurationError, WeightOverflowError
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import Batch, Pattern, PlainItemset, matches, plain_itemset, sequence
 from rps.model import weighted_itemset
-from rps.sampling import (
-    _subset,
-    draw_pattern_of_norm,
-    sample_distinct_indices,
-    sample_from_batch,
-)
-from rps.weighting import batch_weight, weight_table
+from rps.sampling import draw_pattern_of_norm, sample_distinct_indices, sample_from_batch
+from rps.weighting import _subset, batch_weight, weight_table
 
 import streamgen
 from conftest import A, B, C, D
@@ -262,6 +257,14 @@ def test_a_norm_of_no_mass_is_refused():
         weight_table(plain, UTIL)
     with pytest.raises(ConfigurationError):
         draw_pattern_of_norm(plain, 2, UTIL, rng)
+    # a mass past the float range is refused as weight_table refuses it,
+    # and a norm band that keeps it finite draws again
+    wide = plain_itemset(range(1100))
+    with pytest.raises(WeightOverflowError):
+        weight_table(wide, FREQ)
+    with pytest.raises(WeightOverflowError):
+        draw_pattern_of_norm(wide, 2, FREQ, rng)
+    assert draw_pattern_of_norm(wide, 2, MeasureSpec(BaseMeasure.FREQ, max_norm=5), rng).norm == 2
     # a norm above max_norm or below min_norm weighs nothing, for each variant
     for z, base in (
         (plain, BaseMeasure.FREQ),

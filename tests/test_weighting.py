@@ -25,6 +25,7 @@ from rps.model import (
 from rps.weighting import (
     SequenceCounts,
     _plan_of,
+    _row_plan as _draw_plan,
     _total,
     batch_weight,
     instance_weight,
@@ -32,7 +33,7 @@ from rps.weighting import (
     weight_table,
 )
 
-from rps.sampling import _row_plan as _draw_plan, sample_from_batch
+from rps.sampling import sample_from_batch
 
 import streamgen
 from conftest import A, B, C
@@ -480,6 +481,28 @@ def test_weight_table_is_cached():
     assert _plan_of(z, FREQ) is _plan_of(plain_itemset([B, A]), FREQ)
     # a plain itemset's table depends only on its size
     assert _plan_of(z, FREQ) is _plan_of(plain_itemset([C, 7]), FREQ)
+
+
+def test_a_tx_row_is_planned_and_drawn_as_its_plain_itemset():
+    # a tx row, a set of ids, has its PlainItemset's cached plan, and its
+    # drawer takes the same patterns on the same bits
+    rng = random.Random(23)
+    specs = (FREQ, AREA, MeasureSpec(BaseMeasure.DECAY, alpha=0.5, min_norm=2, max_norm=4))
+    for n in (1, 2, 3, 7, 20, 64):
+        row = set(rng.sample(range(1000), n))
+        z = plain_itemset(row)
+        for spec in specs:
+            assert _plan_of(row, spec) is _plan_of(z, spec)
+            norms, sums, draw = _draw_plan(row, spec)
+            want_norms, want_sums, want_draw = _draw_plan(z, spec)
+            assert (norms, sums) == (want_norms, want_sums), (n, spec)
+            for seed in range(4):
+                ours, ref = random.Random(seed), random.Random(seed)
+                for ell in norms * 3:
+                    assert draw(ell, ours) == want_draw(ell, ref), (n, spec, ell)
+                assert ours.getstate() == ref.getstate()
+        with pytest.raises(ConfigurationError):
+            _draw_plan(row, UTIL)
 
 
 def test_weighted_tables_are_the_closed_form_bit_for_bit():
