@@ -33,13 +33,13 @@ from rps import (
     sequence,
 )
 from rps.betainc import binomial_survival
+from rps.engine import sample_distinct_indices
 from rps.oracle import (
     draw_realisations_conditional,
     inv_draw_realisations,
     stream_law,
     total_variation,
 )
-from rps.sampling import sample_distinct_indices
 
 A, B, C = 0, 1, 2
 K = 10

@@ -6,7 +6,7 @@ independent draw from the norm-weighted, optionally time-damped pattern
 distribution of everything seen so far.
 """
 
-from .engine import BatchReport, ReservoirSampler
+from .engine import BatchReport, ReservoirSampler, sample_from_batch
 from .errors import (
     ConfigurationError,
     ParseError,
@@ -30,8 +30,7 @@ from .model import (
     sequence,
     weighted_itemset,
 )
-from .sampling import draw_pattern_of_norm, sample_from_batch
-from .weighting import batch_weight, instance_weight, weight_table
+from .weighting import batch_weight, draw_pattern_of_norm, instance_weight, weight_table
 
 __version__ = "0.1.0"
 

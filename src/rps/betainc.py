@@ -146,6 +146,8 @@ def realisations_from_uniform(k: int, p: float, x: float) -> int:
     slot is replaced with probability exactly p (the count is m and the
     batch is accepted iff m >= 1).
     """
+    if type(k) is not int:  # a float k would bisect between ints forever
+        raise ValueError(f"reservoir capacity must be an int, got {k!r}")
     if k < 1:
         raise ValueError(f"reservoir capacity must be >= 1, got {k}")
     if not 0.0 <= p <= 1.0:

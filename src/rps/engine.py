@@ -3,9 +3,9 @@
 The reservoir holds a fixed number of patterns.  Each arriving batch is
 accepted with probability equal to its share of the damped total stream
 weight; on acceptance a replacement count n_r is drawn and n_r uniformly
-chosen slots are refilled with fresh draws from the batch.  After any prefix
-of the stream, every slot independently holds a pattern distributed by the
-damped stream law of that prefix.
+chosen slots are refilled with fresh draws from the batch law m(x, B) /
+w(B).  After any prefix of the stream, every slot independently holds a
+pattern distributed by the damped stream law of that prefix.
 
 The running normalizer is kept rescaled to the last mass-bearing timestamp:
 
@@ -20,19 +20,27 @@ with probability exactly p, which keeps every slot an exact draw from the
 stream law.  (Rules that accept iff x < p and draw n_r >= 1 afterwards fall
 short of p at k > 1; rps.oracle keeps them for comparison.)
 
+A draw picks a row by the masses batch_weight gave, a norm by the prefix
+sums of the row's plan, then a pattern of that norm by the row's drawer,
+without enumerating patterns.  weighting._row_plan gives the plan and the
+drawer, and alone knows a row's kind: the rest is the same for every row.
+
 Randomness comes from one seeded generator, consumed in a fixed order per
-batch: acceptance uniform, then eviction slots, then pattern draws; the
-first acceptance fills the empty reservoir without eviction draws.  A batch
-commits once: its next state is worked out in locals and written in one
-block after every call that can raise.  A refusal before the decision
-consumes no random number; a failure from the decision on leaves every
-attribute but rng unchanged.
+batch: acceptance uniform, eviction slots, then each pattern's row, norm
+and pattern; the first acceptance fills the empty reservoir without
+eviction draws.  A batch commits once: its next state, entries and report
+included, is worked out in locals and written in one block after every
+call that can raise.  A refusal before the decision consumes no random
+number; a failure from the decision on leaves every attribute but rng
+unchanged.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 
 from . import betainc
@@ -43,9 +51,8 @@ from .errors import (
     WeightOverflowError,
 )
 from .measures import MeasureSpec
-from .model import Batch, Instance, Items, Pattern, matches
-from .sampling import sample_distinct_indices, sample_from_batch
-from .weighting import batch_weight
+from .model import Batch, Instance, Items, Pattern, _unchecked, matches
+from .weighting import _row_plan, batch_weight
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,6 +151,72 @@ class Featurizer:
         self._least = len(self._buckets) * len(masks) // len(self._patterns)
 
 
+def sample_distinct_indices(rng: Random, n: int, k: int) -> list[int]:
+    """k distinct indices uniform over range(n), by partial Fisher-Yates.
+
+    Each index takes the bits randrange(i, n) would on CPython 3.10-3.13;
+    sparse dict bookkeeping keeps this O(k) regardless of n.  The engine
+    draws its eviction slots here; weighting._subset shuffles an itemset
+    pattern's items on the same bits.
+    """
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    getrandbits = rng.getrandbits
+    swap: dict[int, int] = {}
+    out: list[int] = []
+    for i in range(k):
+        width = n - i
+        bits = width.bit_length()
+        j = getrandbits(bits)
+        while j >= width:
+            j = getrandbits(bits)
+        j += i
+        out.append(swap.get(j, j))
+        swap[j] = swap.get(i, i)
+    return out
+
+
+def sample_from_batch(
+    batch: Batch,
+    spec: MeasureSpec,
+    count: int,
+    rng: Random,
+    masses: list[float] | None = None,
+) -> list[Pattern]:
+    """count independent pattern draws from the batch law m(x, B) / w(B).
+
+    masses are the per-row masses batch_weight gave for this batch and
+    spec; they are weighed again when not given.  A row's plan is made when
+    a draw first picks it, from the row itself: no draw builds an instance.
+    """
+    if count < 0:
+        raise ValueError(f"draw count must be >= 0, got {count}")
+    if count == 0:
+        return []
+    if masses is None:
+        masses = batch_weight(batch, spec)[1]
+    elif len(masses) != len(batch.rows):
+        raise ValueError(f"{len(masses)} masses for {len(batch.rows)} instances")
+    cum = list(accumulate(masses))
+    total = cum[-1] if cum else 0.0
+    if total <= 0:
+        raise ValueError("batch has no pattern mass under this measure")
+    rows = batch.rows
+    plans: dict[int, tuple] = {}  # the plan of each row picked
+    out: list[Pattern] = []
+    for _ in range(count):
+        # bisect_right skips zero-weight instances even when the point lands
+        # exactly on their repeated prefix value
+        zi = bisect_right(cum, rng.random() * total)
+        plan = plans.get(zi)
+        if plan is None:
+            plan = plans[zi] = _row_plan(rows[zi], spec)
+        norms, norm_sums, draw = plan
+        ell = norms[bisect_right(norm_sums, rng.random() * norm_sums[-1])]
+        out.append(_unchecked(Pattern, draw(ell, rng)))
+    return out
+
+
 # the first accepted batch draws every slot at once, so a capacity past what
 # memory holds would run until killed; refuse it up front instead
 MAX_CAPACITY = 10**7
@@ -157,6 +230,8 @@ class ReservoirSampler:
         damping: float = 0.0,
         seed: int | None = 0,
     ):
+        if type(capacity) is not int:  # a bool or a float too
+            raise ConfigurationError(f"capacity must be an int, got {capacity!r}")
         if not 1 <= capacity <= MAX_CAPACITY:
             raise ConfigurationError(
                 f"capacity must be in [1, {MAX_CAPACITY}], got {capacity}"
@@ -197,10 +272,9 @@ class ReservoirSampler:
         return self._featurizer(z)
 
     def process_batch(self, batch: Batch) -> BatchReport:
-        """Offer one batch to the reservoir.  It commits once: a refusal
-        before the decision consumes no random number, and a failure from
-        the decision on leaves every attribute but rng unchanged.  It is
-        weighed and drawn from its rows, so no instance is built."""
+        """Offer one batch to the reservoir, which it changes in one commit
+        (see the module docstring).  It is weighed and drawn from its rows,
+        so no instance is built."""
         t = batch.timestamp
         if not math.isfinite(t):
             raise StreamOrderError(f"batch timestamp {t} is not finite")
@@ -218,7 +292,7 @@ class ReservoirSampler:
         # raises ConfigurationError if the measure does not fit the variant
         w, masses = batch_weight(batch, self.spec)
         # a batch of no mass is only seen: it adds nothing to the normalizer
-        scaled_mass, t_mass, p, n, slots = self._scaled_mass, self._t_mass, 0.0, 0, ()
+        scaled_mass, t_mass, p, n, slots, entries = self._scaled_mass, self._t_mass, 0.0, 0, (), []
         if w > 0.0:
             # the first mass has 0.0 * 0.0 + w == w exactly, and p == 1.0
             decay = 0.0 if t_mass is None else math.exp(-self.damping * (t - t_mass))
@@ -234,20 +308,22 @@ class ReservoirSampler:
                 # the first acceptance has p == 1 and n == k: it fills every slot
                 slots = sample_distinct_indices(self.rng, k, n) if self._entries else range(n)
                 patterns = sample_from_batch(batch, self.spec, n, self.rng, masses)
+                entries = [(t, pat) for pat in patterns]  # built before the commit
+        report = BatchReport(t, w, p, n > 0, n, tuple(slots))
 
         self._t_seen, self._variant = t, variant
         self._scaled_mass, self._t_mass = scaled_mass, t_mass
         self.batches_seen += 1
         if n:
             if self._entries:
-                for s, pat in zip(slots, patterns):
-                    self._entries[s] = (t, pat)
+                for s, entry in zip(slots, entries):
+                    self._entries[s] = entry
             else:
-                self._entries = [(t, pat) for pat in patterns]
+                self._entries = entries
             self.batches_accepted += 1
             self.insertions += n
             self._featurizer = None
-        return BatchReport(t, w, p, n > 0, n, tuple(slots))
+        return report
 
     def process_stream(self, batches) -> list[BatchReport]:
         return [self.process_batch(b) for b in batches]

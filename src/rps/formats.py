@@ -290,6 +290,8 @@ def iter_batches(
             batch_size = int(batch_size)
         except ValueError:
             raise ConfigurationError(f"bad batch size {batch_size!r}") from None
+    elif batch_size != "marker" and type(batch_size) is not int:  # a bool too
+        raise ConfigurationError(f"bad batch size {batch_size!r}")
     if isinstance(batch_size, int) and batch_size < 1:
         raise ConfigurationError(f"batch size must be >= 1, got {batch_size}")
     return _iter_batches_ordinal(lines, parse, catalog, batch_size)

@@ -42,6 +42,10 @@ class MeasureSpec:
                 )
         elif self.alpha is not None:
             raise ConfigurationError(f"{self.base.value} takes no alpha")
+        if type(self.min_norm) is not int:  # a bool or a float too
+            raise ConfigurationError(f"min_norm must be an int, got {self.min_norm!r}")
+        if self.max_norm is not None and type(self.max_norm) is not int:
+            raise ConfigurationError(f"max_norm must be an int, got {self.max_norm!r}")
         if self.min_norm < 1:
             raise ConfigurationError(f"min_norm must be >= 1, got {self.min_norm}")
         if self.max_norm is not None and self.max_norm < self.min_norm:

@@ -226,7 +226,8 @@ _set = object.__setattr__
 def _unchecked(cls: type, *values):
     """cls(*values), a Sequence with a fresh memo, without __post_init__'s
     checks: only for rps.formats' parsers, which check each line in full, and
-    batches of their rows, and rps.sampling's draws, sorted by construction."""
+    batches of their rows, and the pattern draws of rps.engine and
+    rps.weighting, sorted by construction."""
     obj = object.__new__(cls)
     _set(obj, cls.__slots__[0], values[0])
     if len(values) > 1:  # a WeightedItemset's weights, a Batch's rows

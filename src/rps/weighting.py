@@ -31,10 +31,11 @@ on (n, spec) alone and is cached; a weighted itemset multiplies its own W
 into cached (n, spec) terms.  A sequence's counts live in Sequence.memo.
 
 This is the one module that tells a batch's rows apart.  _row_plan gives a
-row's plan and its drawer: a tx row (a set of ids) has the plan of its
-size and draws from its sorted ids; an itemset's pattern is a partial
-Fisher-Yates over its items (_subset), after a pivot item picked by weight
-for a weighted itemset; a sequence draws by its counts.
+row's plan and its drawer, which draw_pattern_of_norm draws through too: a
+tx row (a set of ids) has the plan of its size and draws from its sorted
+ids; an itemset's pattern is a partial Fisher-Yates over its items
+(_subset), after a pivot item picked by weight for a weighted itemset; a
+sequence draws by its counts.  No draw builds an instance.
 
 Cost limits: counting admissible blocks is a hitting-set count, so the
 tally can still hold exponentially many sets when every gap intersection is
@@ -60,9 +61,11 @@ from .model import (
     Batch,
     Instance,
     Items,
+    Pattern,
     PlainItemset,
     Sequence,
     WeightedItemset,
+    _unchecked,
 )
 
 # an instance's norms of positive mass, those masses and their prefix sums
@@ -122,21 +125,21 @@ def _norm_factors(variant: type, spec: MeasureSpec, cap: int) -> tuple[tuple[int
 
 
 @lru_cache(maxsize=None)
-def _itemset_terms(variant: type, n: int, spec: MeasureSpec) -> tuple[tuple[int, int, float], ...]:
-    """(ell, c, f(ell)) per admissible norm of an n-item itemset: c = C(n,
-    ell), or C(n-1, ell-1) for a weighted itemset, whose W multiplies it.
-    Unbounded: keys are bounded by the distinct itemset sizes of a stream
-    times the few specs in use."""
-    factors = _norm_factors(variant, spec, spec.norm_cap(n))
-    if variant is WeightedItemset:
-        return tuple((ell, math.comb(n - 1, ell - 1), f) for ell, f in factors)
-    return tuple((ell, math.comb(n, ell), f) for ell, f in factors)
+def _itemset_terms(n: int, spec: MeasureSpec) -> tuple[tuple[int, int, float], ...]:
+    """(ell, C(n-1, ell-1), f(ell)) per admissible norm of an n-item
+    weighted itemset, whose W multiplies the count.  Unbounded: keys are
+    bounded by the distinct itemset sizes of a stream times the few specs
+    in use, as are _plain_plan's."""
+    factors = _norm_factors(WeightedItemset, spec, spec.norm_cap(n))
+    return tuple((ell, math.comb(n - 1, ell - 1), f) for ell, f in factors)
 
 
 @lru_cache(maxsize=None)
 def _plain_plan(n: int, spec: MeasureSpec) -> Plan:
-    # kept whole, so its terms bypass the terms cache
-    return _plan(1.0, _itemset_terms.__wrapped__(PlainItemset, n, spec), PlainItemset, n, spec)
+    # the plan of (ell, C(n, ell), f(ell)) per admissible norm, kept whole
+    factors = _norm_factors(PlainItemset, spec, spec.norm_cap(n))
+    terms = ((ell, math.comb(n, ell), f) for ell, f in factors)
+    return _plan(1.0, terms, PlainItemset, n, spec)
 
 
 def _sequence_terms(z: Sequence, spec: MeasureSpec) -> Iterator[tuple[int, int, float]]:
@@ -157,7 +160,7 @@ def _plan_of(z: set[int] | Instance, spec: MeasureSpec) -> Plan:
     if isinstance(z, PlainItemset):
         return _plain_plan(z.norm, spec)
     if isinstance(z, WeightedItemset):
-        terms = _itemset_terms(WeightedItemset, z.norm, spec)
+        terms = _itemset_terms(z.norm, spec)
         return _plan(z.total_weight, terms, WeightedItemset, z.norm, spec)
     if isinstance(z, Sequence):
         return _plan(1.0, _sequence_terms(z, spec), Sequence, z.norm, spec)
@@ -207,7 +210,7 @@ def batch_weight(batch: Batch, spec: MeasureSpec) -> tuple[float, list[float]]:
         mass_of = {n: _total(_plain_plan(n, spec)) for n in set(sizes)}
         masses = list(map(mass_of.__getitem__, sizes))
     elif batch.variant is WeightedItemset:
-        terms = {n: _itemset_terms(WeightedItemset, n, spec) for n in {z.norm for z in rows}}
+        terms = {n: _itemset_terms(n, spec) for n in {z.norm for z in rows}}
         masses = [
             _summed(z.total_weight, terms[z.norm], WeightedItemset, z.norm, spec) for z in rows
         ]
@@ -522,6 +525,25 @@ def _row_plan(row: set[int] | Instance, spec: MeasureSpec) -> tuple:
     else:
         draw = sequence_counts(row, spec.norm_cap(row.norm)).draw
     return norms, sums, draw
+
+
+def draw_pattern_of_norm(z: Instance, ell: int, spec: MeasureSpec, rng: Random) -> Pattern:
+    """Pattern of norm ell from z, proportional to measure mass.
+
+    Within a fixed norm the norm factor is a common constant, so plain
+    itemsets and sequences draw uniformly over distinct patterns, and
+    weighted itemsets by summed item weights.  z's plan refuses what
+    weight_table refuses (a measure not defined for z, a mass past the
+    float range), and a norm outside [min_norm, cap] is a ValueError: the
+    spec gives it no mass.
+    """
+    if not isinstance(z, (PlainItemset, WeightedItemset, Sequence)):
+        raise TypeError(f"not an instance: {type(z).__name__}")
+    draw = _row_plan(z, spec)[2]
+    cap = spec.norm_cap(z.norm)
+    if not spec.min_norm <= ell <= cap:
+        raise ValueError(f"norm {ell} outside [{spec.min_norm}, {cap}]")
+    return _unchecked(Pattern, draw(ell, rng))
 
 
 _counts_lookups = {"hits": 0, "misses": 0}

@@ -34,7 +34,7 @@ import pytest
 from rps import oracle
 from rps.betainc import binomial_survival_direct, reg_inc_beta
 from rps.cli import main
-from rps.engine import ReservoirSampler
+from rps.engine import ReservoirSampler, sample_from_batch
 from rps.errors import StreamOrderError
 from rps.formats import read_snapshot, serialize_instance, write_snapshot
 from rps.measures import BaseMeasure, MeasureSpec
@@ -47,7 +47,6 @@ from rps.model import (
     sequence,
     weighted_itemset,
 )
-from rps.sampling import sample_from_batch
 from rps.weighting import batch_weight, instance_weight, weight_table
 
 import conftest

@@ -108,6 +108,11 @@ def test_realisations_from_uniform_is_exact_binomial():
     assert realisations_from_uniform(5, 1.0, 0.999) == 5
     with pytest.raises(ValueError):
         realisations_from_uniform(5, 0.5, 1.0)
+    # at k = 2.5 and p = 1 the search used to reach lo = 2, hi = 2.5 and
+    # retry mid = 2 forever
+    for k in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"reservoir capacity must be an int, got {k!r}"):
+            realisations_from_uniform(k, 1.0, 0.5)
 
 
 def test_reject_first_matches_the_search(monkeypatch):

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from rps.cli import main as cli_main
-from rps.engine import MAX_CAPACITY, Featurizer, ReservoirSampler
+from rps.engine import MAX_CAPACITY, Featurizer, ReservoirSampler, sample_from_batch
 from rps.errors import (
     ConfigurationError,
     ReservoirNotReady,
@@ -56,6 +56,11 @@ def test_init_validation():
     # one replacement rule, nothing to select
     with pytest.raises(TypeError):
         ReservoirSampler(FREQ, 3, realisation_mode="binomial-cdf")
+    # 2.5 used to be taken, and its first decision then bisected between 2
+    # and 2.5 forever; 3.0 decided, and filling range(3.0) raised TypeError
+    for capacity in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ConfigurationError, match=f"capacity must be an int, got {capacity!r}"):
+            ReservoirSampler(FREQ, capacity=capacity)
 
 
 def test_first_batch_fills_reservoir():
@@ -644,40 +649,49 @@ def _forced_failure(*args):
     raise RuntimeError("forced")
 
 
+def _fails_after_one_pattern(*args):
+    # the batch's draws as an iterable that breaks off after its first
+    # pattern, so the entries fail while they are being built
+    yield sample_from_batch(*args)[0]
+    raise RuntimeError("forced")
+
+
 def test_a_batch_that_fails_after_weighing_changes_nothing_but_rng(monkeypatch):
-    """A failure at the decision, the eviction or the draw leaves every
-    attribute the batch would write as it was.  All three stages come after
-    the decision uniform is drawn, so each of them has advanced rng.
+    """A failure at the decision, the eviction, the draw or while the drawn
+    patterns are made into entries leaves every attribute the batch would
+    write as it was.  All four stages come after the decision uniform is
+    drawn, so each of them has advanced rng.
 
     Only the decision can fail in practice (see the next test).  The
     eviction picks n <= k distinct slots of k, and every row a draw can pick
     was weighed to a positive, finite mass."""
     stages = {
-        "decide": (betainc, "realisations_from_uniform"),
-        "evict": (engine, "sample_distinct_indices"),
-        "draw": (engine, "sample_from_batch"),
+        "decide": (betainc, "realisations_from_uniform", _forced_failure),
+        "evict": (engine, "sample_distinct_indices", _forced_failure),
+        "draw": (engine, "sample_from_batch", _forced_failure),
+        "build": (engine, "sample_from_batch", _fails_after_one_pattern),
     }
     # e^-100 leaves p == 1.0 at t = 101: unforced, every slot is evicted and drawn
     late = Batch(101.0, (plain_itemset([D, E]),))
-    for stage, (module, name) in stages.items():
+    for stage, failure in stages.items():
         s = ReservoirSampler(FREQ, capacity=3, damping=1.0, seed=4)
         s.process_batch(Batch(1.0, (plain_itemset([A, B, C]),)))
         s.feature_vector(plain_itemset([A, B]))
         featurizer, before, rng = s._featurizer, _stream_state(s), s.rng.getstate()
         with monkeypatch.context() as m:
-            m.setattr(module, name, _forced_failure)
+            m.setattr(*failure)
             with pytest.raises(RuntimeError, match="forced"):
                 s.process_batch(late)
         assert _stream_state(s) == before and s._featurizer is featurizer, stage
         assert s.rng.getstate() != rng, stage  # the decision uniform is drawn
         report = s.process_batch(late)
         assert report.realisations == 3 and sorted(report.evicted) == [0, 1, 2], stage
-    # the first batch fills the reservoir with no eviction: decide and draw
-    for stage in ("decide", "draw"):
+    # the first batch fills the reservoir with no eviction: decide, draw, build
+    for stage in ("decide", "draw", "build"):
         s = ReservoirSampler(FREQ, capacity=3, seed=4)
         before, rng = _stream_state(s), s.rng.getstate()
         with monkeypatch.context() as m:
-            m.setattr(*stages[stage], _forced_failure)
+            m.setattr(*stages[stage])
             with pytest.raises(RuntimeError, match="forced"):
                 s.process_batch(late)
         assert _stream_state(s) == before and s.rng.getstate() != rng, stage

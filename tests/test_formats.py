@@ -357,11 +357,19 @@ def test_iter_batches_fixed_size():
     [
         ("tx", {"batch_size": 0}, ConfigurationError),
         ("tx", {"batch_size": "few"}, ConfigurationError),
+        # each of these used to put every row into one batch
+        ("tx", {"batch_size": 2.5}, ConfigurationError),
+        ("tx", {"batch_size": None}, ConfigurationError),
+        ("tx", {"batch_size": [2]}, ConfigurationError),
+        ("tx", {"batch_size": True}, ConfigurationError),
         ("tx", {"timestamps": "wall"}, ConfigurationError),
         ("csv", {}, ParseError),
         ("csv", {"timestamps": "explicit"}, ParseError),
     ],
-    ids=["zero", "word", "timestamp-mode", "format", "format-explicit"],
+    ids=[
+        "zero", "word", "float", "none", "list", "bool",
+        "timestamp-mode", "format", "format-explicit",
+    ],
 )
 def test_bad_batch_arguments_are_refused_before_reading(fmt, options, error):
     def lines():

@@ -45,6 +45,11 @@ def test_spec_validation():
         MeasureSpec(BaseMeasure.FREQ, min_norm=0)
     with pytest.raises(ConfigurationError):
         MeasureSpec(BaseMeasure.FREQ, min_norm=3, max_norm=2)
+    # the first weight table used to raise TypeError from range()
+    bad = (("min_norm", 1.5), ("min_norm", True), ("max_norm", 2.5), ("max_norm", "3"))
+    for bound, value in bad:
+        with pytest.raises(ConfigurationError, match=f"{bound} must be an int, got {value!r}"):
+            MeasureSpec(BaseMeasure.FREQ, **{bound: value})
 
 
 def test_parse_and_format():

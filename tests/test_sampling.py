@@ -11,12 +11,12 @@ from types import SimpleNamespace
 import pytest
 
 from rps import model, oracle, weighting
+from rps.engine import sample_distinct_indices, sample_from_batch
 from rps.errors import ConfigurationError, WeightOverflowError
 from rps.measures import BaseMeasure, MeasureSpec
 from rps.model import Batch, Pattern, PlainItemset, matches, plain_itemset, sequence
 from rps.model import weighted_itemset
-from rps.sampling import draw_pattern_of_norm, sample_distinct_indices, sample_from_batch
-from rps.weighting import _subset, batch_weight, weight_table
+from rps.weighting import _subset, batch_weight, draw_pattern_of_norm, weight_table
 
 import streamgen
 from conftest import A, B, C, D

@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from rps import oracle, weighting
-from rps.engine import ReservoirSampler
+from rps.engine import ReservoirSampler, sample_from_batch
 from rps.errors import ConfigurationError, WeightOverflowError
 from rps.measures import BaseMeasure, MeasureSpec, parse_measure
 from rps.model import (
@@ -25,15 +25,13 @@ from rps.model import (
 from rps.weighting import (
     SequenceCounts,
     _plan_of,
-    _row_plan as _draw_plan,
+    _row_plan,
     _total,
     batch_weight,
     instance_weight,
     sequence_counts,
     weight_table,
 )
-
-from rps.sampling import sample_from_batch
 
 import streamgen
 from conftest import A, B, C
@@ -80,7 +78,7 @@ def test_table_lookup_helpers():
     t = weight_table(z, FREQ)
     assert t.get(2, 0.0) == 3
     assert t.get(4, 0.0) == 0.0
-    assert _draw_plan(z, FREQ)[1] == (3, 6, 7)
+    assert _row_plan(z, FREQ)[1] == (3, 6, 7)
 
 
 def test_variant_base_mismatch():
@@ -493,8 +491,8 @@ def test_a_tx_row_is_planned_and_drawn_as_its_plain_itemset():
         z = plain_itemset(row)
         for spec in specs:
             assert _plan_of(row, spec) is _plan_of(z, spec)
-            norms, sums, draw = _draw_plan(row, spec)
-            want_norms, want_sums, want_draw = _draw_plan(z, spec)
+            norms, sums, draw = _row_plan(row, spec)
+            want_norms, want_sums, want_draw = _row_plan(z, spec)
             assert (norms, sums) == (want_norms, want_sums), (n, spec)
             for seed in range(4):
                 ours, ref = random.Random(seed), random.Random(seed)
@@ -502,7 +500,7 @@ def test_a_tx_row_is_planned_and_drawn_as_its_plain_itemset():
                     assert draw(ell, ours) == want_draw(ell, ref), (n, spec, ell)
                 assert ours.getstate() == ref.getstate()
         with pytest.raises(ConfigurationError):
-            _draw_plan(row, UTIL)
+            _row_plan(row, UTIL)
 
 
 def test_weighted_tables_are_the_closed_form_bit_for_bit():
@@ -652,7 +650,7 @@ def test_masses_equal_the_plan_bit_for_bit():
                 assert instance_weight(z, spec).hex() == mass.hex(), (z, spec)
                 assert _left_to_right(table.values()).hex() == mass.hex(), (z, spec)
                 if table:
-                    norms, sums, _ = _draw_plan(z, spec)
+                    norms, sums, _ = _row_plan(z, spec)
                     assert norms == tuple(table), (z, spec)
                     assert sums == tuple(itertools.accumulate(table.values())), (z, spec)
                     assert sums[-1].hex() == mass.hex(), (z, spec)
