@@ -211,7 +211,7 @@ def sample_from_batch(
         plan = plans.get(zi)
         if plan is None:
             plan = plans[zi] = _row_plan(rows[zi], spec)
-        norms, norm_sums, draw = plan
+        (norms, _, norm_sums), draw = plan
         ell = norms[bisect_right(norm_sums, rng.random() * norm_sums[-1])]
         out.append(_unchecked(Pattern, draw(ell, rng)))
     return out
@@ -236,6 +236,8 @@ class ReservoirSampler:
             raise ConfigurationError(
                 f"capacity must be in [1, {MAX_CAPACITY}], got {capacity}"
             )
+        if isinstance(damping, bool) or not isinstance(damping, (int, float)):
+            raise ConfigurationError(f"damping must be an int or a float, got {damping!r}")
         if not 0.0 <= damping <= 1.0:
             raise ConfigurationError(f"damping must be in [0, 1], got {damping!r}")
         self.spec = spec

@@ -273,8 +273,8 @@ def iter_batches(
     "marker" (a blank line closes the batch).
 
     timestamps="explicit": each line starts with a timestamp column and
-    consecutive lines with equal timestamps form one batch; batch_size is
-    ignored and timestamps must be finite and must not decrease.
+    consecutive lines with equal timestamps form one batch; batch_size must
+    be "marker", and timestamps must be finite and must not decrease.
 
     Labels are not kept; read_instances gives them.  An unknown format
     raises ParseError, and a bad batch size or timestamp mode
@@ -282,6 +282,8 @@ def iter_batches(
     """
     parse = _parser(fmt)
     if timestamps == "explicit":
+        if batch_size != "marker":
+            raise ConfigurationError(f"explicit timestamps take no batch size, got {batch_size!r}")
         return _iter_batches_explicit(lines, parse, catalog)
     if timestamps != "ordinal":
         raise ConfigurationError(f"unknown timestamp mode {timestamps!r}")

@@ -36,10 +36,11 @@ class MeasureSpec:
 
     def __post_init__(self):
         if self.base is BaseMeasure.DECAY:
-            if self.alpha is None or not 0.0 < self.alpha <= 1.0:
-                raise ConfigurationError(
-                    f"decay needs alpha in (0, 1], got {self.alpha!r}"
-                )
+            alpha = self.alpha  # None is refused by the range below
+            if isinstance(alpha, bool) or not isinstance(alpha, (int, float, type(None))):
+                raise ConfigurationError(f"alpha must be an int or a float, got {alpha!r}")
+            if alpha is None or not 0.0 < alpha <= 1.0:
+                raise ConfigurationError(f"decay needs alpha in (0, 1], got {alpha!r}")
         elif self.alpha is not None:
             raise ConfigurationError(f"{self.base.value} takes no alpha")
         if type(self.min_norm) is not int:  # a bool or a float too

@@ -120,6 +120,10 @@ class PlainItemset:
     def __post_init__(self):
         _check_items(self.items)
 
+    def __len__(self) -> int:
+        # its size, as a tx row's (the set of ids it stands for) is len(row)
+        return len(self.items)
+
     @property
     def norm(self) -> int:
         return len(self.items)

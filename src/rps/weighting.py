@@ -30,12 +30,13 @@ right; tables, weights and draws all read it.  A plain itemset's plan depends
 on (n, spec) alone and is cached; a weighted itemset multiplies its own W
 into cached (n, spec) terms.  A sequence's counts live in Sequence.memo.
 
-This is the one module that tells a batch's rows apart.  _row_plan gives a
-row's plan and its drawer, which draw_pattern_of_norm draws through too: a
-tx row (a set of ids) has the plan of its size and draws from its sorted
-ids; an itemset's pattern is a partial Fisher-Yates over its items
-(_subset), after a pivot item picked by weight for a weighted itemset; a
-sequence draws by its counts.  No draw builds an instance.
+This is the one module that tells a batch's rows apart, in _row_plan alone:
+it gives a row's plan and drawer, which weight_table, instance_weight,
+draw_pattern_of_norm and the engine's draw read.  A tx row (a set of ids)
+has the plan of its size and draws from its sorted ids; an itemset's
+pattern is a partial Fisher-Yates over its items (_subset), after a pivot
+picked by weight for a weighted one; a sequence draws by its counts.  No
+draw builds an instance; batch_weight builds no drawer.
 
 Cost limits: counting admissible blocks is a hitting-set count, so the
 tally can still hold exponentially many sets when every gap intersection is
@@ -53,7 +54,7 @@ from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import accumulate
 from random import Random
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import ConfigurationError, WeightOverflowError
 from .measures import MeasureSpec, format_measure
@@ -152,21 +153,6 @@ def _sequence_terms(z: Sequence, spec: MeasureSpec) -> Iterator[tuple[int, int, 
             yield ell, counts[ell], f
 
 
-def _plan_of(z: set[int] | Instance, spec: MeasureSpec) -> Plan:
-    # a plain itemset's, or a tx row's (a set of ids), is the cached one of
-    # its size; the others are not kept
-    if isinstance(z, set):
-        return _plain_plan(len(z), spec)
-    if isinstance(z, PlainItemset):
-        return _plain_plan(z.norm, spec)
-    if isinstance(z, WeightedItemset):
-        terms = _itemset_terms(z.norm, spec)
-        return _plan(z.total_weight, terms, WeightedItemset, z.norm, spec)
-    if isinstance(z, Sequence):
-        return _plan(1.0, _sequence_terms(z, spec), Sequence, z.norm, spec)
-    raise TypeError(f"not an instance: {type(z).__name__}")
-
-
 def _total(plan: Plan) -> float:
     sums = plan[2]
     return sums[-1] if sums else 0.0
@@ -174,7 +160,7 @@ def _total(plan: Plan) -> float:
 
 def weight_table(z: Instance, spec: MeasureSpec) -> dict[int, float]:
     """z's norm weight table: its positive mass per admissible norm."""
-    norms, masses, _ = _plan_of(z, spec)
+    norms, masses, _ = _row_plan(z, spec)[0]
     return dict(zip(norms, masses))
 
 
@@ -189,33 +175,31 @@ weight_table.cache_info = _itemset_cache_info
 
 def instance_weight(z: Instance, spec: MeasureSpec) -> float:
     """Total measure mass of all distinct patterns contained in z: the last
-    prefix sum of its plan, which a sequence sums without the lists."""
-    if isinstance(z, Sequence):
-        return _summed(1.0, _sequence_terms(z, spec), Sequence, z.norm, spec)
-    return _total(_plan_of(z, spec))
+    prefix sum of its plan."""
+    return _total(_row_plan(z, spec)[0])
 
 
 def batch_weight(batch: Batch, spec: MeasureSpec) -> tuple[float, list[float]]:
     """(w(B), the mass of each of the batch's rows, in row order).
 
-    Rows that are sets of item ids (tx rows) are plain itemsets, weighed by
-    their sizes alone without building them: one plan lookup per distinct
-    size.  Weighted itemsets look their (size, spec) terms up once per
-    distinct size too, and sum them without a plan, as sequences sum their
-    masses.  The floats equal instance_weight's either way.
+    Plain rows, tx rows (sets of item ids) or plain itemsets, are weighed by
+    their sizes alone, without building an instance or a drawer: one plan
+    lookup per distinct size.  Weighted itemsets look their (size, spec)
+    terms up once per distinct size too, and sum them without a plan, as
+    sequences sum theirs.  The floats equal instance_weight's either way.
     """
-    rows = batch.rows
-    if rows and isinstance(rows[0], set):
-        sizes = list(map(len, rows))
-        mass_of = {n: _total(_plain_plan(n, spec)) for n in set(sizes)}
-        masses = list(map(mass_of.__getitem__, sizes))
-    elif batch.variant is WeightedItemset:
+    variant, rows = batch.variant, batch.rows
+    if variant is WeightedItemset:
         terms = {n: _itemset_terms(n, spec) for n in {z.norm for z in rows}}
         masses = [
             _summed(z.total_weight, terms[z.norm], WeightedItemset, z.norm, spec) for z in rows
         ]
-    else:
-        masses = [instance_weight(z, spec) for z in rows]
+    elif variant is Sequence:
+        masses = [_summed(1.0, _sequence_terms(z, spec), Sequence, z.norm, spec) for z in rows]
+    else:  # plain rows, or none
+        sizes = list(map(len, rows))
+        mass_of = {n: _total(_plain_plan(n, spec)) for n in set(sizes)}
+        masses = list(map(mass_of.__getitem__, sizes))
     try:
         return math.fsum(masses), masses
     except OverflowError:
@@ -510,21 +494,25 @@ def _subset(items: Items, sums: list[float] | None, ell: int, rng: Random) -> tu
     return (tuple(pool),)
 
 
-def _row_plan(row: set[int] | Instance, spec: MeasureSpec) -> tuple:
-    """(norms, sums, draw): the row's norms of positive mass, their prefix
-    sums, and draw(ell, rng), the elements of a pattern of norm ell in the
-    row by measure mass.  A tx row draws from its sorted ids: no instance
-    is built."""
-    norms, _, sums = _plan_of(row, spec)
+def _row_plan(row: set[int] | Instance, spec: MeasureSpec) -> tuple[Plan, Callable | None]:
+    """(plan, draw): the row's plan, and draw(ell, rng), the elements of a
+    pattern of norm ell in the row by measure mass.  The one test of a row's
+    kind.  A tx row (a set of ids) has its PlainItemset's cached plan and
+    draws from its sorted ids, so no instance is built; a sequence with no
+    admissible norm builds no counts and has no drawer."""
     if isinstance(row, set):
-        draw = partial(_subset, tuple(sorted(row)), None)
-    elif isinstance(row, PlainItemset):
-        draw = partial(_subset, row.items, None)
-    elif isinstance(row, WeightedItemset):
-        draw = partial(_subset, row.items, list(accumulate(row.weights)))
-    else:
-        draw = sequence_counts(row, spec.norm_cap(row.norm)).draw
-    return norms, sums, draw
+        return _plain_plan(len(row), spec), partial(_subset, tuple(sorted(row)), None)
+    if isinstance(row, PlainItemset):
+        return _plain_plan(row.norm, spec), partial(_subset, row.items, None)
+    if isinstance(row, WeightedItemset):
+        n = row.norm
+        plan = _plan(row.total_weight, _itemset_terms(n, spec), WeightedItemset, n, spec)
+        return plan, partial(_subset, row.items, list(accumulate(row.weights)))
+    if isinstance(row, Sequence):
+        plan = _plan(1.0, _sequence_terms(row, spec), Sequence, row.norm, spec)
+        cap = spec.norm_cap(row.norm)
+        return plan, sequence_counts(row, cap).draw if cap >= spec.min_norm else None
+    raise TypeError(f"not an instance: {type(row).__name__}")
 
 
 def draw_pattern_of_norm(z: Instance, ell: int, spec: MeasureSpec, rng: Random) -> Pattern:
@@ -539,7 +527,7 @@ def draw_pattern_of_norm(z: Instance, ell: int, spec: MeasureSpec, rng: Random) 
     """
     if not isinstance(z, (PlainItemset, WeightedItemset, Sequence)):
         raise TypeError(f"not an instance: {type(z).__name__}")
-    draw = _row_plan(z, spec)[2]
+    draw = _row_plan(z, spec)[1]
     cap = spec.norm_cap(z.norm)
     if not spec.min_norm <= ell <= cap:
         raise ValueError(f"norm {ell} outside [{spec.min_norm}, {cap}]")

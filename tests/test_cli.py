@@ -336,8 +336,16 @@ def test_wtx_weight_overflow_exits_1_with_one_line(tmp_path, capsys):
             ["--reservoir-size", "100000000000"], None,
             "capacity must be in [1, 10000000], got 100000000000",
         ),
+        # explicit stamps batch by stamp: a batch size would be ignored
+        (
+            ["--timestamps", "explicit", "--batch-size", "2"], None,
+            "explicit timestamps take no batch size, got '2'",
+        ),
     ],
-    ids=["snapshot-every", "RPS_SEED", "batch-size-zero", "batch-size-word", "reservoir-size"],
+    ids=[
+        "snapshot-every", "RPS_SEED", "batch-size-zero", "batch-size-word", "reservoir-size",
+        "batch-size-explicit",
+    ],
 )
 def test_bad_number_exits_2_with_one_line(
     tx_file, tmp_path, capsys, monkeypatch, extra, seed_env, message

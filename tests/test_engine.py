@@ -61,6 +61,13 @@ def test_init_validation():
     for capacity in (2.5, 3.0, True, "3", None):
         with pytest.raises(ConfigurationError, match=f"capacity must be an int, got {capacity!r}"):
             ReservoirSampler(FREQ, capacity=capacity)
+    # refused by type before the range test, which would raise TypeError or take True as 1
+    for damping in ("0.1", None, True):
+        with pytest.raises(
+            ConfigurationError, match=f"damping must be an int or a float, got {damping!r}"
+        ):
+            ReservoirSampler(FREQ, capacity=3, damping=damping)
+    assert ReservoirSampler(FREQ, capacity=3, damping=1).damping == 1
 
 
 def test_first_batch_fills_reservoir():

@@ -299,8 +299,14 @@ def test_round_trip_instances():
             back, back_label = parse_instance(line, fmt, cat)
             assert back == z, (fmt, line)
             assert back_label == label
-    with pytest.raises(ParseError):
-        serialize_instance(streamgen.random_plain(rng), "wtx", cat)
+    # each format holds one variant
+    for fmt, z, name in (
+        ("tx", streamgen.random_weighted(rng), "WeightedItemset"),
+        ("wtx", streamgen.random_plain(rng), "PlainItemset"),
+        ("seq-spmf", streamgen.random_plain(rng), "PlainItemset"),
+    ):
+        with pytest.raises(ParseError, match=f"{fmt} holds .*, not {name}"):
+            serialize_instance(z, fmt, cat)
 
 
 def test_pattern_text_round_trip():
@@ -365,10 +371,17 @@ def test_iter_batches_fixed_size():
         ("tx", {"timestamps": "wall"}, ConfigurationError),
         ("csv", {}, ParseError),
         ("csv", {"timestamps": "explicit"}, ParseError),
+        # explicit stamps make the batches, so any batch size, good or bad, would be ignored
+        ("tx", {"timestamps": "explicit", "batch_size": "few"}, ConfigurationError),
+        ("tx", {"timestamps": "explicit", "batch_size": 0}, ConfigurationError),
+        ("tx", {"timestamps": "explicit", "batch_size": 2.5}, ConfigurationError),
+        ("tx", {"timestamps": "explicit", "batch_size": 3}, ConfigurationError),
+        ("tx", {"timestamps": "explicit", "batch_size": "3"}, ConfigurationError),
     ],
     ids=[
         "zero", "word", "float", "none", "list", "bool",
         "timestamp-mode", "format", "format-explicit",
+        "explicit-word", "explicit-zero", "explicit-float", "explicit-int", "explicit-str",
     ],
 )
 def test_bad_batch_arguments_are_refused_before_reading(fmt, options, error):

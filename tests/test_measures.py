@@ -1,5 +1,7 @@
 """Measure grammar, norm factors."""
 
+import re
+
 import pytest
 
 from rps.errors import ConfigurationError
@@ -50,6 +52,14 @@ def test_spec_validation():
     for bound, value in bad:
         with pytest.raises(ConfigurationError, match=f"{bound} must be an int, got {value!r}"):
             MeasureSpec(BaseMeasure.FREQ, **{bound: value})
+    # refused by type before the range test, which would raise TypeError or take True as 1
+    for alpha in ("0.5", True, [0.5]):
+        message = f"alpha must be an int or a float, got {alpha!r}"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            MeasureSpec(BaseMeasure.DECAY, alpha=alpha)
+    with pytest.raises(ConfigurationError, match=r"decay needs alpha in \(0, 1\], got None"):
+        MeasureSpec(BaseMeasure.DECAY, alpha=None)
+    assert MeasureSpec(BaseMeasure.DECAY, alpha=1).alpha == 1
 
 
 def test_parse_and_format():

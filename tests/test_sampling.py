@@ -252,6 +252,10 @@ def test_pattern_draw_respects_first_occurrence_dedup():
 def test_a_norm_of_no_mass_is_refused():
     rng = random.Random(14)
     plain = plain_itemset([A, B, C])
+    # a tx row stands for its plain itemset in a batch, but is not an instance
+    for row in ({A, B, C}, (A, B, C)):
+        with pytest.raises(TypeError, match=f"not an instance: {type(row).__name__}"):
+            draw_pattern_of_norm(row, 2, FREQ, rng)
     # util is not defined for plain itemsets, as weight_table says
     with pytest.raises(ConfigurationError):
         weight_table(plain, UTIL)

@@ -24,7 +24,6 @@ from rps.model import (
 )
 from rps.weighting import (
     SequenceCounts,
-    _plan_of,
     _row_plan,
     _total,
     batch_weight,
@@ -78,7 +77,7 @@ def test_table_lookup_helpers():
     t = weight_table(z, FREQ)
     assert t.get(2, 0.0) == 3
     assert t.get(4, 0.0) == 0.0
-    assert _row_plan(z, FREQ)[1] == (3, 6, 7)
+    assert _row_plan(z, FREQ)[0][2] == (3, 6, 7)
 
 
 def test_variant_base_mismatch():
@@ -90,6 +89,9 @@ def test_variant_base_mismatch():
         weight_table(plain_itemset([A, B, C]), UTIL)
     with pytest.raises(ConfigurationError):
         instance_weight(plain_itemset([A, B, C]), AVGUTIL)
+    for z in ((A, B), [[A], [B]], frozenset({A})):
+        with pytest.raises(TypeError, match=f"not an instance: {type(z).__name__}"):
+            weight_table(z, FREQ)
 
 
 def test_sequence_counts_fixture():
@@ -105,6 +107,17 @@ def test_sequence_counts_fixture():
     assert [counts.count(ell) for ell in (1, 2, 3, 4)] == [3, 5, 4, 1]
     with pytest.raises(ValueError):
         counts.count(5)
+    with pytest.raises(ValueError, match="cap must be >= 0, got -1"):
+        SequenceCounts(z3.elements, -1)
+    for i, j in ((-2, 0), (0, 0), (1, 0), (1, 3), (2, 3)):
+        with pytest.raises(ValueError, match=f"no block at {j} after {i}"):
+            counts.ways(i, j)
+    for i in (-2, 3):
+        with pytest.raises(ValueError, match=f"no position {i}"):
+            counts.row(i)
+    # the edges that are in range: {A} at 2 counts after {A, C}, not before it
+    assert counts.ways(1, 2) == (0, 1) and counts.ways(-1, 2) == (0, 0)
+    assert counts.row(2) == (1, 0, 0, 0, 0)
 
 
 def test_sequence_counts_gap_suppression():
@@ -476,9 +489,9 @@ def test_tables_match_enumeration_randomized():
 
 def test_weight_table_is_cached():
     z = plain_itemset([A, B])
-    assert _plan_of(z, FREQ) is _plan_of(plain_itemset([B, A]), FREQ)
+    assert _row_plan(z, FREQ)[0] is _row_plan(plain_itemset([B, A]), FREQ)[0]
     # a plain itemset's table depends only on its size
-    assert _plan_of(z, FREQ) is _plan_of(plain_itemset([C, 7]), FREQ)
+    assert _row_plan(z, FREQ)[0] is _row_plan(plain_itemset([C, 7]), FREQ)[0]
 
 
 def test_a_tx_row_is_planned_and_drawn_as_its_plain_itemset():
@@ -490,13 +503,11 @@ def test_a_tx_row_is_planned_and_drawn_as_its_plain_itemset():
         row = set(rng.sample(range(1000), n))
         z = plain_itemset(row)
         for spec in specs:
-            assert _plan_of(row, spec) is _plan_of(z, spec)
-            norms, sums, draw = _row_plan(row, spec)
-            want_norms, want_sums, want_draw = _row_plan(z, spec)
-            assert (norms, sums) == (want_norms, want_sums), (n, spec)
+            (plan, draw), (want_plan, want_draw) = _row_plan(row, spec), _row_plan(z, spec)
+            assert plan is want_plan, (n, spec)
             for seed in range(4):
                 ours, ref = random.Random(seed), random.Random(seed)
-                for ell in norms * 3:
+                for ell in plan[0] * 3:
                     assert draw(ell, ours) == want_draw(ell, ref), (n, spec, ell)
                 assert ours.getstate() == ref.getstate()
         with pytest.raises(ConfigurationError):
@@ -516,7 +527,7 @@ def test_weighted_tables_are_the_closed_form_bit_for_bit():
             }
             t = weight_table(z, spec)
             assert t == want
-            sums = _plan_of(z, spec)[2]
+            sums = _row_plan(z, spec)[0][2]
             assert sums == tuple(itertools.accumulate(want.values()))
             assert instance_weight(z, spec) == (sums[-1] if sums else 0.0)
 
@@ -526,8 +537,8 @@ def test_itemset_memo_holds_one_entry_per_shape():
     weighting._itemset_terms.cache_clear()
     rng = random.Random(8)
     shapes = set()
-    # lookups the weighing alone makes: one per plain instance, and one per
-    # distinct size of a weighted batch
+    # the weighing alone looks one plan, or one size's terms, up per distinct
+    # size of a batch, for plain and weighted itemsets alike
     weighed = 0
     for variant, spec, make in (
         (PlainItemset, FREQ, lambda: streamgen.random_plain(rng, 300, 40)),
@@ -538,14 +549,18 @@ def test_itemset_memo_holds_one_entry_per_shape():
             batch = Batch(float(t), tuple(make() for _ in range(50)))
             sizes = [z.norm for z in batch.instances]
             shapes.update((variant, n, spec) for n in sizes)
-            weighed += len(sizes) if variant is PlainItemset else len(set(sizes))
+            before = sum(weight_table.cache_info())
+            batch_weight(batch, spec)
+            assert sum(weight_table.cache_info()) - before == len(set(sizes)), (variant, t)
+            weighed += len(set(sizes))
             sampler.process_batch(batch)
     info = weight_table.cache_info()
     currsize = sum(
         f.cache_info().currsize for f in (weighting._plain_plan, weighting._itemset_terms)
     )
     assert currsize == info.misses == len(shapes)
-    assert info.hits + info.misses >= weighed > 7_500
+    # each batch is weighed here and again by process_batch, whose draws look up more
+    assert info.hits + info.misses >= 2 * weighed > 11_000
 
 
 @pytest.mark.parametrize(
@@ -607,8 +622,8 @@ def _left_to_right(values) -> float:
 
 
 def test_masses_equal_the_plan_bit_for_bit():
-    # each batch_weight branch (tx rows, plain instances, weighted itemsets,
-    # sequences) weighs a row as instance_weight does, as the last prefix sum
+    # batch_weight weighs each kind of row (tx rows, plain instances, weighted
+    # itemsets, sequences) as instance_weight does, as the last prefix sum
     # of its draw plan and as its table summed left to right, bit for bit;
     # decay:1e-30 underflows to 0.0 from norm 11, so those norms drop
     rng = random.Random(4242)
@@ -650,7 +665,7 @@ def test_masses_equal_the_plan_bit_for_bit():
                 assert instance_weight(z, spec).hex() == mass.hex(), (z, spec)
                 assert _left_to_right(table.values()).hex() == mass.hex(), (z, spec)
                 if table:
-                    norms, sums, _ = _row_plan(z, spec)
+                    norms, _, sums = _row_plan(z, spec)[0]
                     assert norms == tuple(table), (z, spec)
                     assert sums == tuple(itertools.accumulate(table.values())), (z, spec)
                     assert sums[-1].hex() == mass.hex(), (z, spec)
@@ -700,7 +715,7 @@ def test_total_weight_decomposition():
             z = streamgen.random_instance(rng, variant)
             spec = streamgen.base_measures(variant)[0]
             t = weight_table(z, spec)
-            total = _total(_plan_of(z, spec))
+            total = _total(_row_plan(z, spec)[0])
             assert total == pytest.approx(math.fsum(t.values()), rel=1e-12)
             assert instance_weight(z, spec) == total
 
